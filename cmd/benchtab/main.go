@@ -434,7 +434,6 @@ func writeHedgeBench(path string, quick bool) {
 type histABResult struct {
 	Name             string  `json:"name"`
 	MaxBins          int     `json:"max_bins"`
-	TopK             int     `json:"top_k"`
 	ExactNs          float64 `json:"exact_ns"`
 	HistNs           float64 `json:"hist_ns"`
 	Speedup          float64 `json:"speedup"` // exact / hist wall clock; > 1 means hist is faster
@@ -445,7 +444,6 @@ type histABResult struct {
 	HistAccuracy     float64 `json:"hist_accuracy"`
 	AccuracyDelta    float64 `json:"accuracy_delta"` // exact - hist on held-out rows
 	BinRounds        int64   `json:"bin_rounds"`
-	HistogramsSent   int64   `json:"histograms_fetched"`
 	HistSubtractions int64   `json:"hist_subtractions"`
 }
 
@@ -460,11 +458,11 @@ type histBenchOutput struct {
 // runHistAB trains the same wide/deep classification job once under the exact
 // protocol and once per MaxBins setting under hist mode, on identical
 // clusters. Wall clock, total link bytes (worker + master outbound) and
-// held-out accuracy quantify what sketch-binned histograms with top-k voting
-// trade away; the obs counters show how the hist arm got there. The job runs
-// with TauD = 1 so every split goes through the column-task protocol — the
-// regime the hist mode exists for; subtree handoff (large TauD) short-circuits
-// both arms into the identical serial trainer and measures nothing.
+// held-out accuracy quantify what sketch-binned histograms trade away; the
+// obs counters show how the hist arm got there. The job runs with TauD = 1 so
+// every split goes through the column-task protocol — the regime the hist
+// mode exists for; subtree handoff (large TauD) short-circuits both arms into
+// the identical serial trainer and measures nothing.
 func runHistAB(quick bool) []histABResult {
 	trainRows, maxDepth := 32000, 12
 	if quick {
@@ -489,14 +487,14 @@ func runHistAB(quick bool) []histABResult {
 		return float64(hits) / float64(test.NumRows())
 	}
 	n := train.NumRows()
-	trainOnce := func(mode cluster.SplitMode, maxBins, topK int, reg *obs.Registry) (float64, int64, float64) {
+	trainOnce := func(mode cluster.SplitMode, maxBins int, reg *obs.Registry) (float64, int64, float64) {
 		opts := []cluster.Option{
 			cluster.WithWorkers(4), cluster.WithCompers(2),
 			cluster.WithPolicy(task.Policy{TauD: 1, TauDFS: n / 2, NPool: 8}),
 			cluster.WithObserver(reg), cluster.WithSplitMode(mode),
 		}
 		if maxBins > 0 {
-			opts = append(opts, cluster.WithMaxBins(maxBins), cluster.WithTopK(topK))
+			opts = append(opts, cluster.WithMaxBins(maxBins))
 		}
 		c, err := cluster.NewInProcess(train, opts...)
 		if err != nil {
@@ -512,10 +510,10 @@ func runHistAB(quick bool) []histABResult {
 		return float64(time.Since(start).Nanoseconds()), m.WorkerSentBytes + m.MasterSentBytes, accuracy(trained[0])
 	}
 
-	trainOnce(cluster.SplitExact, 0, 0, nil) // warm up: page in the table, grow the pools
+	trainOnce(cluster.SplitExact, 0, nil) // warm up: page in the table, grow the pools
 	// Both arms carry a live registry so per-message telemetry sizing costs
 	// them equally.
-	exactNs, exactBytes, exactAcc := trainOnce(cluster.SplitExact, 0, 0, obs.NewRegistry())
+	exactNs, exactBytes, exactAcc := trainOnce(cluster.SplitExact, 0, obs.NewRegistry())
 
 	// The bin sweep spans the tradeoff: at 32 bins the per-node work is far
 	// below the exact sort-and-sweep; by 256 bins the deep frontier's nodes
@@ -525,16 +523,15 @@ func runHistAB(quick bool) []histABResult {
 	var out []histABResult
 	for _, maxBins := range []int{32, 64, 256} {
 		reg := obs.NewRegistry()
-		histNs, histBytes, histAcc := trainOnce(cluster.SplitHist, maxBins, 2, reg)
+		histNs, histBytes, histAcc := trainOnce(cluster.SplitHist, maxBins, reg)
 		m := reg.Snapshot()
 		out = append(out, histABResult{
-			Name: "cluster.Train/wide-deep", MaxBins: maxBins, TopK: 2,
+			Name: "cluster.Train/wide-deep", MaxBins: maxBins,
 			ExactNs: exactNs, HistNs: histNs, Speedup: exactNs / histNs,
 			ExactLinkBytes: exactBytes, HistLinkBytes: histBytes,
 			ByteReduction: float64(exactBytes) / float64(histBytes),
 			ExactAccuracy: exactAcc, HistAccuracy: histAcc, AccuracyDelta: exactAcc - histAcc,
-			BinRounds:      m.Master.BinRounds,
-			HistogramsSent: m.Master.HistogramsFetched, HistSubtractions: m.Split.HistSubtractions,
+			BinRounds: m.Master.BinRounds, HistSubtractions: m.Split.HistSubtractions,
 		})
 	}
 	return out

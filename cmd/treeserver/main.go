@@ -73,9 +73,8 @@ func main() {
 		resume     = flag.Bool("resume", false, "recover the interrupted job from -checkpoint-dir instead of starting fresh")
 		hedge      = flag.Float64("hedge-factor", 0, "hedge a task attempt outliving this multiple of the fleet latency estimate (0 = off; master/local role)")
 		quarantine = flag.Float64("quarantine-threshold", 0, "quarantine workers whose median-normalised health score drops below this, in [0,1) (0 = off; master/local role)")
-		mode       = flag.String("mode", "exact", "split finding: exact | hist (sketch-binned histograms with top-k voting; master/local role)")
+		mode       = flag.String("mode", "exact", "split finding: exact | hist (sketch-binned histograms; master/local role)")
 		maxBins    = flag.Int("max-bins", 0, "hist mode: bins per numeric column (0 = cluster default)")
-		topK       = flag.Int("top-k", 0, "hist mode: candidate splits each worker votes per node (0 = cluster default)")
 
 		standbyAddr = flag.String("standby-addr", "", "stream checkpoints to a hot standby at this address (master role)")
 		leaseTTL    = flag.Duration("lease-ttl", 0, "failover lease duration (0 = default; master/standby/local role)")
@@ -99,7 +98,7 @@ func main() {
 
 	ck := ckpt{dir: *ckptDir, every: *ckptEvery, resume: *resume}
 	gf := gray{hedge: *hedge, quarantine: *quarantine}
-	hm := histMode{mode: splitMode, maxBins: *maxBins, topK: *topK}
+	hm := histMode{mode: splitMode, maxBins: *maxBins}
 	hc := ha{standbyAddr: *standbyAddr, leaseTTL: *leaseTTL, advertise: *advertise,
 		standby: *standbyOn, promoteListen: *promoteAddr}
 	el := elastic{join: *joinN, drain: *drainW, fleetCap: *fleetCap}
@@ -159,8 +158,8 @@ type ha struct {
 // histMode carries the approximate-training flags to the role runners.
 // Workers need no flags: the bin protocol configures them over the wire.
 type histMode struct {
-	mode          cluster.SplitMode
-	maxBins, topK int
+	mode    cluster.SplitMode
+	maxBins int
 }
 
 // ckpt carries the checkpoint/resume flags to the role runners.
@@ -280,9 +279,6 @@ func runLocal(storeDir, tableName, job string, trees, dmax, minLeaf, tauD, tauDF
 	if hm.maxBins > 0 {
 		opts = append(opts, cluster.WithMaxBins(hm.maxBins))
 	}
-	if hm.topK > 0 {
-		opts = append(opts, cluster.WithTopK(hm.topK))
-	}
 	if ck.dir != "" {
 		opts = append(opts, cluster.WithCheckpoint(ck.dir, ck.every))
 	}
@@ -396,7 +392,6 @@ func runMaster(listen, workerList, storeDir, tableName, job string, trees, dmax,
 		QuarantineThreshold: gf.quarantine,
 		SplitMode:           hm.mode,
 		MaxBins:             hm.maxBins,
-		TopK:                hm.topK,
 		AdvertiseAddr:       hc.advertise,
 		Obs:                 reg,
 	}
@@ -479,7 +474,6 @@ func runStandby(listen, masterAddr, workerList, storeDir, tableName, job string,
 			QuarantineThreshold: gf.quarantine,
 			SplitMode:           hm.mode,
 			MaxBins:             hm.maxBins,
-			TopK:                hm.topK,
 			AdvertiseAddr:       hc.promoteListen,
 			Obs:                 reg,
 		},

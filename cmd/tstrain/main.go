@@ -49,9 +49,8 @@ func main() {
 		resume    = flag.Bool("resume", false, "recover the interrupted job from -checkpoint-dir (same CSV and flags as the original run)")
 		hedge     = flag.Float64("hedge-factor", 0, "hedge a task attempt outliving this multiple of the fleet latency estimate (0 = off)")
 		quarant   = flag.Float64("quarantine-threshold", 0, "quarantine workers whose median-normalised health score drops below this, in [0,1) (0 = off)")
-		mode      = flag.String("mode", "exact", "split finding: exact | hist (sketch-binned histograms with top-k voting)")
+		mode      = flag.String("mode", "exact", "split finding: exact | hist (sketch-binned histograms)")
 		maxBins   = flag.Int("max-bins", 0, "hist mode: bins per numeric column (0 = cluster default)")
-		topK      = flag.Int("top-k", 0, "hist mode: candidate splits each worker votes per node (0 = cluster default)")
 		standby   = flag.Bool("standby", false, "attach an in-process hot-standby master (diskless failover)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "failover lease duration (0 = default; implies -standby)")
 		joinN     = flag.Int("join", 0, "live-join this many extra workers through the membership handshake after the cluster starts")
@@ -134,9 +133,6 @@ func main() {
 	}
 	if *maxBins > 0 {
 		copts = append(copts, cluster.WithMaxBins(*maxBins))
-	}
-	if *topK > 0 {
-		copts = append(copts, cluster.WithTopK(*topK))
 	}
 	if *fleetCap > 0 {
 		copts = append(copts, cluster.WithFleetCap(*fleetCap))

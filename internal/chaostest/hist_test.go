@@ -13,7 +13,7 @@ import (
 
 // histChaosPlan is the seeded drop+delay fabric the hist-mode cells train
 // under: silent loss forces bin-round and task re-execution, delay+jitter
-// reorders votes and histogram fetches.
+// reorders column results.
 func histChaosPlan() transport.FaultPlan {
 	return transport.FaultPlan{Name: "hist-drops-delays", Links: []transport.LinkFault{{
 		From: "*", To: "*", Drop: 0.02,
@@ -24,9 +24,9 @@ func histChaosPlan() transport.FaultPlan {
 // TestHistModeDeterministic trains the same forest in hist mode twice under
 // the chaos fabric with two different fault schedules and requires the
 // results bit-for-bit identical: bins come from order-insensitively merged
-// sketches, votes are flattened in sorted worker order, task re-execution
-// recomputes identical histograms, and subtraction is bitwise-exact — so no
-// fault timing may leak into the model. An exact-mode run on the same data
+// sketches, the best candidate is chosen by the order-independent Better
+// comparator, task re-execution recomputes identical histograms, and
+// subtraction is bitwise-exact — so no fault timing may leak into the model. An exact-mode run on the same data
 // anchors quality: held-out accuracy must stay within one point.
 func TestHistModeDeterministic(t *testing.T) {
 	spec := synth.Spec{Name: "histchaos", Rows: 4000, NumNumeric: 8, NumCategorical: 2,
@@ -59,7 +59,6 @@ func TestHistModeDeterministic(t *testing.T) {
 		}
 		if mode == cluster.SplitHist {
 			cfg.MaxBins = 256
-			cfg.TopK = 2
 		}
 		c, err := cluster.NewInProcess(train, cluster.WithConfig(cfg))
 		if err != nil {

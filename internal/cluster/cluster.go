@@ -53,7 +53,8 @@ const (
 	// correctness oracle.
 	SplitExact SplitMode = iota
 	// SplitHist is the approximate mode: sketch-proposed bins, per-column
-	// histograms with subtraction, and top-k vote aggregation.
+	// histograms with subtraction; each worker answers its column task with
+	// its best histogram candidate, exact with respect to the bins.
 	SplitHist
 
 	splitModes // sentinel for validation
@@ -145,9 +146,6 @@ type Config struct {
 	SplitMode SplitMode
 	// MaxBins bounds the bins per numeric column in hist mode (default 64).
 	MaxBins int
-	// TopK is the number of candidate splits each worker votes per node in
-	// hist mode (default 2).
-	TopK int
 	// Standby enables the hot-standby master: checkpoint records stream to a
 	// live replica that takes over via the failover lease when the primary
 	// dies. Works with or without CheckpointDir (diskless failover).
@@ -234,10 +232,6 @@ func WithSplitMode(m SplitMode) Option { return func(c *Config) { c.SplitMode = 
 
 // WithMaxBins bounds the number of bins per numeric column in hist mode.
 func WithMaxBins(n int) Option { return func(c *Config) { c.MaxBins = n } }
-
-// WithTopK sets how many candidate splits each worker votes per node in hist
-// mode.
-func WithTopK(k int) Option { return func(c *Config) { c.TopK = k } }
 
 // WithMaxTreeRestarts bounds delegate-loss restarts per tree; exceeding it
 // fails the job with a clear error instead of restarting forever.
@@ -338,9 +332,6 @@ func (c Config) validate() error {
 	if c.MaxBins > 60000 {
 		return fmt.Errorf("cluster: MaxBins %d exceeds the uint16 bin-index range", c.MaxBins)
 	}
-	if c.TopK < 0 {
-		return fmt.Errorf("cluster: TopK %d is negative", c.TopK)
-	}
 	return nil
 }
 
@@ -366,13 +357,8 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout < 0 {
 		c.JobTimeout = 0
 	}
-	if c.SplitMode == SplitHist {
-		if c.MaxBins == 0 {
-			c.MaxBins = 64
-		}
-		if c.TopK <= 0 {
-			c.TopK = 2
-		}
+	if c.SplitMode == SplitHist && c.MaxBins == 0 {
+		c.MaxBins = 64
 	}
 	if c.Standby && c.LeaseTTL == 0 {
 		c.LeaseTTL = DefaultLeaseTTL
@@ -475,7 +461,6 @@ func NewInProcess(tbl *dataset.Table, opts ...Option) (*Cluster, error) {
 		MaxQuarantined:      cfg.MaxQuarantined,
 		SplitMode:           cfg.SplitMode,
 		MaxBins:             cfg.MaxBins,
-		TopK:                cfg.TopK,
 		FleetCap:            cfg.FleetCap,
 		Obs:                 cfg.Observer,
 	}

@@ -29,7 +29,7 @@ func messageSpecimens() []any {
 		WorkerErrorMsg{}, RowsRequestMsg{}, RowsResponseMsg{},
 		ColDataRequestMsg{}, ColDataResponseMsg{}, ColumnCopyMsg{},
 		BinProposalRequestMsg{}, BinProposalMsg{}, BinBroadcastMsg{},
-		BinAckMsg{}, TopKVoteMsg{}, HistogramRequestMsg{}, HistogramMsg{},
+		BinAckMsg{},
 		CkptRecordMsg{}, LeaseGrantMsg{}, LeaseRenewMsg{}, LeaseAckMsg{},
 		TakeoverMsg{},
 		JoinRequestMsg{}, JoinAcceptMsg{}, JoinRejectMsg{}, JoinReadyMsg{},

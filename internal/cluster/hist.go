@@ -10,28 +10,21 @@ import (
 	"treeserver/internal/split"
 )
 
-// Master side of the histogram training mode. Two sub-protocols live here:
-//
-// Bin proposal (ensureBins): once per cluster, before the first hist job, the
-// master collects one quantile summary per owned column from every alive
-// worker, merges the replica summaries, derives immutable split.Bins, and
-// broadcasts them until an alive quorum acks. Merging replica sketches of the
-// same column collapses equal values into uniformly scaled weights, and the
+// Master side of the histogram training mode: the bin-proposal round
+// (ensureBins). Once per cluster, before the first hist job, the master
+// collects one quantile summary per owned column from every alive worker,
+// merges the replica summaries, derives immutable split.Bins, and broadcasts
+// them until an alive quorum acks. Merging replica sketches of the same
+// column collapses equal values into uniformly scaled weights, and the
 // quantile extraction is scale-invariant, so the derived bins are identical
 // regardless of which replicas happened to report — bins are deterministic
 // across runs, restarts and failure patterns.
 //
-// Vote aggregation (handleTopKVote → electAndFetchLocked → handleHistogram):
-// hist-mode column tasks answer with at most TopK candidate splits instead of
-// full histograms. The master flattens the votes in sorted worker order,
-// elects the best TopK distinct columns, fetches only those columns' full
-// node histograms from their owners, re-scores them centrally and hands the
-// winner to the unchanged decideSplit → ConfirmSplit flow. Under column
-// partitioning each vote is already exact with respect to the bins (a worker
-// holds every row of its columns), so the fetch round is a cross-column
-// merge/verification pass in the spirit of PV-Tree rather than a statistical
-// repair; it is also what keeps per-task traffic at O(TopK) histograms
-// instead of O(columns).
+// Hist column tasks need nothing else from the master: under column
+// partitioning a worker holds every row of its columns, so its best
+// histogram candidate is already exact with respect to the bins, and it
+// answers through ColumnResultMsg into the same handleColumnResult →
+// decideSplit → ConfirmSplit flow as an exact column task.
 
 // ensureBins runs the bin-proposal round if it has not completed yet. The
 // caller holds m.jobMu, so the round can only interleave between jobs. Bins
@@ -284,157 +277,4 @@ func (m *Master) handleBinAck(msg BinAckMsg) {
 			m.binAckCh = nil
 		}
 	}
-}
-
-// handleTopKVote is the hist-mode analogue of handleColumnResult: it records
-// one worker's top-k candidates and, once every involved worker has voted,
-// runs the election.
-func (m *Master) handleTopKVote(msg TopKVoteMsg) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	entry, ok := m.tasks[msg.Task]
-	if !ok || entry.winner != 0 {
-		return // unknown task, or the race is already decided
-	}
-	as, ok := entry.attempts[msg.Attempt]
-	if !ok || !as.hist || as.got[msg.Worker] {
-		return // revoked/superseded attempt, wrong protocol, or duplicate
-	}
-	as.got[msg.Worker] = true
-	as.received++
-	if !as.statsSet {
-		as.stats, as.statsSet = msg.Stats, true
-	}
-	as.votesBy[msg.Worker] = msg.Votes
-	m.obs.VoteReceived(len(msg.Votes))
-	if m.health != nil {
-		m.health.ObserveTask(msg.Worker, entry.plan.size, time.Since(as.assignedAt))
-	}
-	if as.received < as.expected {
-		return
-	}
-	m.electAndFetchLocked(entry, as)
-}
-
-// electAndFetchLocked runs the global top-k election over one attempt's votes
-// and requests the elected columns' full histograms from their owners. Votes
-// are flattened in sorted worker order before sorting with the Better
-// comparator; since workers' columns are disjoint within an attempt, Better's
-// lower-column tie-break makes the order — and hence the election — a pure
-// function of the votes, never of arrival order.
-func (m *Master) electAndFetchLocked(entry *mtask, as *attemptState) {
-	workers := make([]int, 0, len(as.votesBy))
-	for w := range as.votesBy {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	type vote struct {
-		cand   split.Candidate
-		worker int
-	}
-	var votes []vote
-	for _, w := range workers {
-		for _, c := range as.votesBy[w] {
-			if c.Valid {
-				votes = append(votes, vote{c, w})
-			}
-		}
-	}
-	if as.stats.Pure || len(votes) == 0 {
-		// No column admits a split (or the node is pure): as.best stays
-		// invalid and decideSplit takes its leaf path.
-		m.decideSplitLocked(entry, as)
-		return
-	}
-	sort.SliceStable(votes, func(i, j int) bool { return votes[i].cand.Better(votes[j].cand) })
-
-	topK := entry.spec.topK
-	if topK < 1 {
-		topK = 1
-	}
-	as.fetchCol = map[int]int{}
-	perOwner := map[int][]int{}
-	for _, v := range votes {
-		col := v.cand.Cond.Col
-		if _, dup := as.fetchCol[col]; dup {
-			continue
-		}
-		as.fetchCol[col] = v.worker
-		perOwner[v.worker] = append(perOwner[v.worker], col)
-		if len(as.fetchCol) >= topK {
-			break
-		}
-	}
-
-	as.fetching = true
-	as.fetchWant = len(perOwner)
-	as.fetchGot = map[int]bool{}
-	as.hists = map[int]*split.Hist{}
-	for w, wcols := range perOwner {
-		sort.Ints(wcols)
-		m.send(w, HistogramRequestMsg{Task: entry.plan.id, Attempt: as.attempt, Cols: wcols})
-	}
-}
-
-// handleHistogram collects one owner's full histograms; when every requested
-// owner has answered, the fetched columns are re-scored centrally.
-func (m *Master) handleHistogram(msg HistogramMsg) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	entry, ok := m.tasks[msg.Task]
-	if !ok || entry.winner != 0 {
-		return
-	}
-	as, ok := entry.attempts[msg.Attempt]
-	if !ok || !as.fetching || as.fetchGot[msg.Worker] {
-		return
-	}
-	as.fetchGot[msg.Worker] = true
-	m.obs.HistogramsFetched(len(msg.Hists))
-	for i, col := range msg.Cols {
-		if i >= len(msg.Hists) || msg.Hists[i] == nil {
-			continue
-		}
-		if _, want := as.fetchCol[col]; !want {
-			continue
-		}
-		// Columns are disjoint per owner within an attempt, so a column
-		// normally arrives exactly once; Merge keeps a duplicate-coverage
-		// delivery from silently overwriting accumulated state.
-		if prev, ok := as.hists[col]; ok {
-			prev.Merge(msg.Hists[i])
-		} else {
-			as.hists[col] = msg.Hists[i]
-		}
-	}
-	if len(as.fetchGot) >= as.fetchWant {
-		m.finishHistFetchLocked(entry, as)
-	}
-}
-
-// finishHistFetchLocked scores the fetched histograms and hands the winner to
-// the unchanged confirm flow. Columns are scored in ascending order, matching
-// the tie-break direction of Better, so the decision is deterministic.
-func (m *Master) finishHistFetchLocked(entry *mtask, as *attemptState) {
-	as.fetching = false
-	s := split.GetScratch()
-	defer split.PutScratch(s)
-	cols := make([]int, 0, len(as.hists))
-	for col := range as.hists {
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	for _, col := range cols {
-		b, ok := m.bins[col]
-		if !ok {
-			continue
-		}
-		cand := split.BestFromHist(b, as.hists[col], entry.spec.measure, entry.spec.maxExh, s)
-		if cand.Valid && cand.Better(as.best) {
-			as.best = cand
-			as.bestWorker = as.fetchCol[col]
-		}
-	}
-	as.hists = nil
-	m.decideSplitLocked(entry, as)
 }

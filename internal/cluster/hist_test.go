@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"treeserver/internal/core"
@@ -13,12 +17,11 @@ import (
 
 // histConfig forces every split through the column-task protocol so the hist
 // path — not the exact subtree fallback — trains the tree.
-func histConfig(maxBins, topK int) Config {
+func histConfig(maxBins int) Config {
 	cfg := testConfig()
 	cfg.Policy = task.Policy{TauD: 1, TauDFS: 800, NPool: 4}
 	cfg.SplitMode = SplitHist
 	cfg.MaxBins = maxBins
-	cfg.TopK = topK
 	return cfg
 }
 
@@ -86,7 +89,7 @@ func TestHistSaturatedMatchesExactCluster(t *testing.T) {
 			// 4*MaxBins sketch capacity comfortably exceeds the distinct
 			// values of a 2000-row column: the summary is lossless and every
 			// value is retained as a cut.
-			c := newTestCluster(t, tbl, histConfig(4096, 2))
+			c := newTestCluster(t, tbl, histConfig(4096))
 			defer c.Close()
 			got, err := c.TrainOne(params)
 			if err != nil {
@@ -103,9 +106,9 @@ func TestHistSaturatedMatchesExactCluster(t *testing.T) {
 
 // TestHistModeDeterministicAndAccurate trains the same spec twice in coarse
 // (non-saturated) hist mode: the runs must be bit-identical — bins derive
-// from order-insensitive merged sketches and votes are aggregated in sorted
-// worker order — and the approximate tree's training accuracy must stay close
-// to the exact tree's.
+// from order-insensitive merged sketches and the best candidate is chosen by
+// the order-independent Better comparator — and the approximate tree's
+// training accuracy must stay close to the exact tree's.
 func TestHistModeDeterministicAndAccurate(t *testing.T) {
 	spec := synth.Spec{Name: "hist-det", Rows: 4000, NumNumeric: 6, NumCategorical: 2,
 		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 74}
@@ -114,7 +117,7 @@ func TestHistModeDeterministicAndAccurate(t *testing.T) {
 	params.MaxDepth = 8
 
 	train := func() *core.Tree {
-		c := newTestCluster(t, tbl, histConfig(32, 2))
+		c := newTestCluster(t, tbl, histConfig(32))
 		defer c.Close()
 		tr, err := c.TrainOne(params)
 		if err != nil {
@@ -150,7 +153,7 @@ func TestHistModeRegression(t *testing.T) {
 	params.MaxDepth = 6
 
 	train := func() *core.Tree {
-		c := newTestCluster(t, tbl, histConfig(64, 2))
+		c := newTestCluster(t, tbl, histConfig(64))
 		defer c.Close()
 		tr, err := c.TrainOne(params)
 		if err != nil {
@@ -177,7 +180,7 @@ func TestHistModeSetTargetRounds(t *testing.T) {
 	params := core.Defaults()
 	params.MaxDepth = 4
 
-	c := newTestCluster(t, tbl, histConfig(64, 2))
+	c := newTestCluster(t, tbl, histConfig(64))
 	defer c.Close()
 	if _, err := c.TrainOne(params); err != nil {
 		t.Fatalf("round 1: %v", err)
@@ -198,14 +201,13 @@ func TestHistModeSetTargetRounds(t *testing.T) {
 	}
 }
 
-// TestHistObsCounters asserts the hist telemetry shows up: votes received,
-// histograms fetched, fills and (for a deep classification tree) subtraction
-// hits.
+// TestHistObsCounters asserts the hist telemetry shows up: the bin round,
+// sketch merges, fills and (for a deep classification tree) subtraction hits.
 func TestHistObsCounters(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{Name: "hist-obs", Rows: 3000, NumNumeric: 6,
 		NumClasses: 2, ConceptDepth: 5, Seed: 77})
 	reg := obs.NewRegistry()
-	cfg := histConfig(32, 2)
+	cfg := histConfig(32)
 	cfg.Observer = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
@@ -221,16 +223,97 @@ func TestHistObsCounters(t *testing.T) {
 	if snap.Master.SketchMerges == 0 {
 		t.Fatal("no sketch merges recorded")
 	}
-	if snap.Master.VoteMsgs == 0 || snap.Master.Votes == 0 {
-		t.Fatalf("no votes recorded (msgs=%d cands=%d)", snap.Master.VoteMsgs, snap.Master.Votes)
-	}
-	if snap.Master.HistogramsFetched == 0 {
-		t.Fatal("no histograms fetched")
-	}
 	if snap.Split.HistFills == 0 {
 		t.Fatal("no histogram fills recorded")
 	}
 	if snap.Split.HistSubtractions == 0 {
 		t.Fatal("no histogram subtractions recorded on a deep classification tree")
+	}
+}
+
+// treeDigest is a SHA-256 over a canonical pre-order encoding of every field
+// a tree carries. A gob stream is not used: gob assigns wire type ids
+// process-wide in first-use order, so its bytes depend on which tests ran
+// earlier in the same binary.
+func treeDigest(tr *core.Tree) string {
+	h := sha256.New()
+	put := func(vs ...any) {
+		for _, v := range vs {
+			if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	put(uint8(tr.Task), int64(tr.NumClasses), int64(tr.NumNodes), int64(tr.MaxDepth))
+	var walk func(n *core.Node)
+	walk = func(n *core.Node) {
+		put(n.ID, int64(n.Depth), int64(n.N), n.Class, n.Mean,
+			int64(len(n.PMF)), n.PMF, int64(len(n.SeenCodes)), n.SeenCodes)
+		if n.IsLeaf() {
+			put(false)
+			return
+		}
+		c := n.Cond
+		put(true, int64(c.Col), uint8(c.Kind), c.Threshold, c.MissingLeft, int64(len(c.LeftSet)), c.LeftSet)
+		walk(n.Left)
+		walk(n.Right)
+	}
+	walk(tr.Root)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHistTreesPinned pins the exact hist-mode trees the cluster grows — for
+// classification with subtraction, regression, and mixed categorical columns
+// with missing cells, each at several bin counts — to digests recorded from a
+// known-good build. Any protocol change that alters which split a hist
+// column task elects shows up here as a digest mismatch.
+func TestHistTreesPinned(t *testing.T) {
+	specs := []struct {
+		spec     synth.Spec
+		maxDepth int
+	}{
+		{synth.Spec{Name: "clf", Rows: 4000, NumNumeric: 6, NumCategorical: 2,
+			NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 74}, 8},
+		{synth.Spec{Name: "reg", Rows: 3000, NumNumeric: 5, NumCategorical: 2,
+			NumClasses: 0, ConceptDepth: 4, LabelNoise: 0.2, Seed: 75}, 6},
+		{synth.Spec{Name: "missing", Rows: 1500, NumNumeric: 4, NumCategorical: 2,
+			NumClasses: 2, MissingRate: 0.1, ConceptDepth: 4, Seed: 73}, 7},
+	}
+	want := map[string]string{
+		"clf/bins=8":       "d8a210166a6e8a64730d07f7075eb18b1eba6862b40053a0157bea429b75d1b9",
+		"clf/bins=32":      "c044d13174193c8b6eb576201a49d2642cd947b3a7be4f07e4d0619d7ee7668c",
+		"clf/bins=256":     "77de4f779dcaa50bb3f9469640fc4c78b9321185ac892c07a4eef1bbbdc9ffb9",
+		"reg/bins=8":       "8ff54166a117e98d3144e5fdead2d2986216b5bcab3b61e2d6dca7aa3480bd61",
+		"reg/bins=32":      "4e6afc3ef98575586438ea6c8260810dc89f4cc09741af72fd067727535e86b1",
+		"reg/bins=256":     "5f748a9505442af0bf73a7d00e6ab72e62045e9be623a8af36da486b8217a235",
+		"missing/bins=8":   "9193d8601ce0bd0b3cb7772537bbfc3329ca75c9ca256bd3193d2d70555b2764",
+		"missing/bins=32":  "4af8fe4f615113df439939af515278e6cc4250bcb4e721283e10842071f49500",
+		"missing/bins=256": "833cd0537d835d2edacfdbdebcdcf4da567e676e4006acdf4cc78e64779fe221",
+	}
+	for _, s := range specs {
+		tbl := synth.GenerateTrain(s.spec)
+		params := core.Defaults()
+		params.MaxDepth = s.maxDepth
+		for _, bins := range []int{8, 32, 256} {
+			name := fmt.Sprintf("%s/bins=%d", s.spec.Name, bins)
+			t.Run(name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Policy = task.Policy{TauD: 1, TauDFS: 800, NPool: 4}
+				cfg.SplitMode = SplitHist
+				cfg.MaxBins = bins
+				c := newTestCluster(t, tbl, cfg)
+				defer c.Close()
+				tr, err := c.TrainOne(params)
+				if err != nil {
+					t.Fatalf("hist training: %v", err)
+				}
+				if tr.NumNodes < 15 {
+					t.Fatalf("degenerate tree: %d nodes", tr.NumNodes)
+				}
+				if got := treeDigest(tr); got != want[name] {
+					t.Errorf("tree digest %s, want %s", got, want[name])
+				}
+			})
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"treeserver/internal/dataset"
 	"treeserver/internal/sketch"
 	"treeserver/internal/split"
-	"treeserver/internal/task"
 )
 
 // Wire messages of the distributed histogram training mode ("-mode hist").
@@ -19,11 +18,11 @@ import (
 //     broadcasts them in BinBroadcastMsg until an alive quorum acks with
 //     BinAckMsg (the SetTarget quorum template).
 //
-//  2. Per column-task: workers answer hist-mode ColumnPlanMsgs with
-//     TopKVoteMsg — only their k best candidate splits, not every bin of
-//     every column. The master elects the globally voted columns, fetches
-//     their full histograms with HistogramRequestMsg / HistogramMsg, merges,
-//     and confirms the winner through the unchanged ConfirmSplit flow.
+//  2. Per column-task: workers answer hist-mode ColumnPlanMsgs with the
+//     ordinary ColumnResultMsg — their best histogram candidate over the
+//     assigned columns, exact with respect to the bins because a worker holds
+//     every row of its columns — and the master confirms the winner through
+//     the unchanged ConfirmSplit flow. No histogram ever crosses the wire.
 
 // histSketchSize is the per-column quantile-summary size used by both the
 // workers (proposal) and the master (merge).
@@ -65,42 +64,9 @@ type BinAckMsg struct {
 	Seq    int64
 }
 
-// TopKVoteMsg is a worker's answer to a hist-mode column plan: its best k
-// candidate splits over the assigned columns, ordered best-first, plus the
-// node's label stats. Each candidate is computed from the worker's full
-// column histogram, so under column partitioning a vote is already globally
-// exact with respect to the bins.
-type TopKVoteMsg struct {
-	Task    task.ID
-	Attempt int
-	Worker  int
-	Votes   []split.Candidate
-	Stats   NodeStats
-}
-
-// HistogramRequestMsg asks a worker for the full node histograms of the
-// globally elected columns — the only histograms that ever cross the wire.
-type HistogramRequestMsg struct {
-	Task    task.ID
-	Attempt int
-	Cols    []int
-}
-
-// HistogramMsg returns the requested histograms, aligned with Cols.
-type HistogramMsg struct {
-	Task    task.ID
-	Attempt int
-	Worker  int
-	Cols    []int
-	Hists   []*split.Hist
-}
-
 func init() {
 	gob.Register(BinProposalRequestMsg{})
 	gob.Register(BinProposalMsg{})
 	gob.Register(BinBroadcastMsg{})
 	gob.Register(BinAckMsg{})
-	gob.Register(TopKVoteMsg{})
-	gob.Register(HistogramRequestMsg{})
-	gob.Register(HistogramMsg{})
 }

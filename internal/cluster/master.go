@@ -101,11 +101,10 @@ type MasterConfig struct {
 	// fallback, which bypasses quarantine rather than orphan a column.
 	MaxQuarantined int
 	// SplitMode selects exact (default) or histogram-approximate split
-	// finding for column tasks; MaxBins and TopK tune the hist protocol
-	// (defaults 64 and 2).
+	// finding for column tasks; MaxBins bounds the hist bins per column
+	// (default 64).
 	SplitMode SplitMode
 	MaxBins   int
-	TopK      int
 	// FleetCap bounds the fleet size live joins may grow to (0 = unbounded).
 	// A join request that would push the fleet past the cap is rejected
 	// non-retryably. Must be zero or at least NumWorkers.
@@ -149,19 +148,6 @@ type attemptState struct {
 	stats      NodeStats
 	statsSet   bool
 	assignedAt time.Time // when this attempt's plans were shipped
-
-	// Hist-mode aggregation state. Votes are kept per worker and flattened
-	// in sorted worker order at election time, so arrival order can never
-	// change the elected columns. perCols is the attempt's column→worker
-	// assignment, consulted to route histogram fetches.
-	hist      bool
-	perCols   map[int][]int
-	votesBy   map[int][]split.Candidate
-	fetching  bool
-	fetchWant int
-	fetchGot  map[int]bool
-	fetchCol  map[int]int // elected column -> owning worker
-	hists     map[int]*split.Hist
 }
 
 // shipSpec captures everything assignAndSend resolved about the task's work
@@ -176,8 +162,7 @@ type shipSpec struct {
 	measure       impurity.Measure
 	numClasses    int
 	maxExh        int
-	hist          bool // histogram-mode column task (top-k vote protocol)
-	topK          int
+	hist          bool // histogram-mode column task
 }
 
 // mtask is the master-side task table entry: the plan, the work spec, and
@@ -349,16 +334,8 @@ func NewMaster(ep transport.Endpoint, schema Schema, placement loadbal.Placement
 	if cfg.MaxBins < 0 || cfg.MaxBins == 1 || cfg.MaxBins > 60000 {
 		return nil, fmt.Errorf("cluster: MaxBins %d must be 0 (default) or in [2, 60000]", cfg.MaxBins)
 	}
-	if cfg.TopK < 0 {
-		return nil, fmt.Errorf("cluster: TopK %d is negative", cfg.TopK)
-	}
-	if cfg.SplitMode == SplitHist {
-		if cfg.MaxBins == 0 {
-			cfg.MaxBins = 64
-		}
-		if cfg.TopK == 0 {
-			cfg.TopK = 2
-		}
+	if cfg.SplitMode == SplitHist && cfg.MaxBins == 0 {
+		cfg.MaxBins = 64
 	}
 	// Own the Kinds slice: SetTarget mutates it in place, and a master built
 	// by a promoted standby shares the caller's backing array with the old
@@ -694,10 +671,9 @@ func (m *Master) assignAndSend(p *plan) {
 		// Extra-trees draws stay exact: a single random threshold needs the
 		// raw values, not bins.
 		hist: m.cfg.SplitMode == SplitHist && p.kind == task.ColumnTask && !randomDraw,
-		topK: m.cfg.TopK,
 	}
 	now := time.Now()
-	as := newAttemptState(p.kind, attempt, false, assignment, now, spec.hist)
+	as := newAttemptState(p.kind, attempt, false, assignment, now)
 	entry := &mtask{
 		plan: p, spec: spec,
 		attempts:   map[int]*attemptState{attempt: as},
@@ -712,7 +688,7 @@ func (m *Master) assignAndSend(p *plan) {
 
 // newAttemptState builds the bookkeeping for one shipped attempt from its
 // worker assignment.
-func newAttemptState(kind task.Kind, attempt int, hedge bool, assignment loadbal.Assignment, now time.Time, hist bool) *attemptState {
+func newAttemptState(kind task.Kind, attempt int, hedge bool, assignment loadbal.Assignment, now time.Time) *attemptState {
 	as := &attemptState{
 		attempt: attempt, hedge: hedge, charges: assignment.Charges,
 		involved: map[int]bool{}, got: map[int]bool{},
@@ -730,11 +706,6 @@ func newAttemptState(kind task.Kind, attempt int, hedge bool, assignment loadbal
 		as.expected = len(perWorker)
 		for w := range perWorker {
 			as.involved[w] = true
-		}
-		if hist {
-			as.hist = true
-			as.perCols = perWorker
-			as.votesBy = map[int][]split.Candidate{}
 		}
 	}
 	return as
@@ -758,7 +729,7 @@ func (m *Master) shipAttempt(p *plan, spec shipSpec, attempt int, assignment loa
 			Cols: wcols, Parent: p.parent,
 			Measure: spec.measure, NumClasses: spec.numClasses, MaxExh: spec.maxExh,
 			Random: spec.random, RandomSeed: spec.drawSeed,
-			Hist: spec.hist, TopK: spec.topK,
+			Hist: spec.hist,
 			Rows: p.rows,
 		})
 	}
@@ -811,10 +782,6 @@ func (m *Master) recvLoop() {
 			m.handleProbeAck(msg)
 		case TargetAckMsg:
 			m.handleTargetAck(msg)
-		case TopKVoteMsg:
-			m.handleTopKVote(msg)
-		case HistogramMsg:
-			m.handleHistogram(msg)
 		case BinProposalMsg:
 			m.handleBinProposal(msg)
 		case BinAckMsg:

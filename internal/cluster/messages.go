@@ -184,10 +184,9 @@ type ColumnPlanMsg struct {
 	// single column in Cols, seeded by RandomSeed.
 	Random     bool
 	RandomSeed int64
-	// Hist selects the histogram protocol: answer with a TopKVoteMsg of at
-	// most TopK candidates instead of a ColumnResultMsg.
+	// Hist selects histogram split finding over the broadcast bins; the
+	// worker answers with a ColumnResultMsg in either mode.
 	Hist bool
-	TopK int
 	// Rows is only set in the relay-rows ablation, where the master ships
 	// I_x itself instead of pointing at the parent's delegate worker.
 	Rows []int32

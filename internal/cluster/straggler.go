@@ -546,7 +546,7 @@ func (m *Master) hedgeTask(id task.ID) {
 	}
 	p.attempt++
 	attempt := p.attempt
-	as := newAttemptState(p.kind, attempt, true, assignment, time.Now(), entry.spec.hist)
+	as := newAttemptState(p.kind, attempt, true, assignment, time.Now())
 	entry.attempts[attempt] = as
 	entry.hedged = true
 	spec := entry.spec

@@ -258,8 +258,6 @@ func (w *Worker) dispatch(env transport.Envelope) bool {
 		w.handleBinProposalRequest(msg)
 	case BinBroadcastMsg:
 		w.handleBinBroadcast(msg)
-	case HistogramRequestMsg:
-		w.handleHistogramRequest(msg)
 	case RejoinRequestMsg:
 		w.handleRejoin(msg)
 	case JoinAcceptMsg:

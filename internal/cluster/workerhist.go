@@ -11,8 +11,7 @@ import (
 )
 
 // Worker side of the histogram training mode: bin proposal and installation,
-// the per-node histogram kernel with parent − sibling subtraction, top-k
-// voting, and serving elected histograms back to the master.
+// and the per-node histogram kernel with parent − sibling subtraction.
 
 // histCacheBudget bounds the per-worker node-histogram cache (FIFO eviction)
 // by memory rather than entry count: an entry's cost is dominated by its W
@@ -63,10 +62,9 @@ type histCacheEntry struct {
 }
 
 // histCache is the bounded per-worker node-histogram cache backing histogram
-// subtraction and the master's post-election fetches. Cached histograms are
-// immutable and owned by the cache: eviction drops the reference for the GC
-// rather than returning it to the hist pool, because an evicted histogram may
-// still be held by a reader.
+// subtraction. Cached histograms are immutable and owned by the cache:
+// eviction drops the reference for the GC rather than returning it to the
+// hist pool, because an evicted histogram may still be held by a reader.
 type histCache struct {
 	mu      sync.Mutex
 	entries map[histKey]*histCacheEntry
@@ -148,13 +146,6 @@ func (c *histCache) reset() {
 	c.entries = make(map[histKey]*histCacheEntry, mapHint(c.cap))
 	c.fifo = nil
 	c.mu.Unlock()
-}
-
-// sortCandidates orders candidates best-first under the Better comparator.
-// Better is a strict weak order (lower impurity, ties to lower column), so
-// the result is a pure function of the candidate set.
-func sortCandidates(cands []split.Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Better(cands[j]) })
 }
 
 // handleBinProposalRequest sketches every owned feature column and ships the
@@ -287,10 +278,10 @@ func (w *Worker) binnedFor(colIdx int, col *dataset.Column, b split.Bins, seq in
 
 // computeColumnTaskHist is the hist-mode analogue of computeColumnTask: one
 // pooled histogram per assigned column (subtraction-derived when the cached
-// parent and sibling allow it), scored locally, with only the top-k
-// candidates shipped to the master. Under column partitioning this worker
-// holds every row of its columns, so each candidate is already exact with
-// respect to the bins.
+// parent and sibling allow it), scored locally, with the best candidate
+// answered in a ColumnResultMsg. Under column partitioning this worker holds
+// every row of its columns, so that candidate is already exact with respect
+// to the bins and the master decides the split exactly as in exact mode.
 func (w *Worker) computeColumnTaskHist(msg ColumnPlanMsg, rows []int32) {
 	w.mu.Lock()
 	y := w.y
@@ -312,7 +303,7 @@ func (w *Worker) computeColumnTaskHist(msg ColumnPlanMsg, rows []int32) {
 
 	scratch := split.GetScratchObserved(w.sc)
 	defer split.PutScratch(scratch)
-	cands := make([]split.Candidate, 0, len(msg.Cols))
+	best := split.Candidate{}
 	for i, colIdx := range msg.Cols {
 		col := localCols[i]
 		if col == nil {
@@ -327,23 +318,14 @@ func (w *Worker) computeColumnTaskHist(msg ColumnPlanMsg, rows []int32) {
 		bc := w.binnedFor(colIdx, col, b, seq)
 		h := w.nodeHist(msg, colIdx, bc, y, rows, b.NumBins, classes)
 		cand := split.BestFromHist(b, h, msg.Measure, msg.MaxExh, scratch)
-		// The cache takes ownership of h; it backs both the sibling's
-		// subtraction and a possible post-election fetch.
+		// The cache takes ownership of h for the sibling's subtraction.
 		w.histCache.put(msg.Task, msg.Parent, colIdx, h)
-		if cand.Valid {
-			cands = append(cands, cand)
+		if cand.Better(best) {
+			best = cand
 		}
 	}
-	sortCandidates(cands)
-	topK := msg.TopK
-	if topK < 1 {
-		topK = 1
-	}
-	if len(cands) > topK {
-		cands = cands[:topK]
-	}
 	stats := StatsOf(y, rows, msg.NumClasses)
-	w.send(MasterName, TopKVoteMsg{Task: msg.Task, Attempt: msg.Attempt, Worker: w.id, Votes: cands, Stats: stats})
+	w.send(MasterName, ColumnResultMsg{Task: msg.Task, Attempt: msg.Attempt, Worker: w.id, Best: best, Stats: stats})
 }
 
 // nodeHist produces one column's histogram for the task's rows: derived by
@@ -369,50 +351,4 @@ func (w *Worker) nodeHist(msg ColumnPlanMsg, colIdx int, bc *split.BinnedColumn,
 	h.Fill(bc, y, rows)
 	w.sc.HistFilled()
 	return h
-}
-
-// handleHistogramRequest serves the master's post-election fetch: the cached
-// histograms of the named columns, cloned so the in-process fabric never
-// aliases cache-owned state, rebuilt from the binned column on a cache miss.
-func (w *Worker) handleHistogramRequest(msg HistogramRequestMsg) {
-	w.mu.Lock()
-	entry, ok := w.tasks[msg.Task]
-	var rows []int32
-	if ok {
-		rows = entry.rows
-	}
-	live := ok && entry.attempt == msg.Attempt
-	w.mu.Unlock()
-	if !live {
-		return // dropped or re-attempted task; master-side retry owns recovery
-	}
-	w.enqueue(func() {
-		hists := make([]*split.Hist, len(msg.Cols))
-		for i, c := range msg.Cols {
-			if h := w.histCache.get(histKey{id: msg.Task, side: selfSide, col: c}); h != nil {
-				hists[i] = h.Clone()
-				continue
-			}
-			w.mu.Lock()
-			y := w.y
-			col := w.cols[c]
-			b, okb := w.bins[c]
-			seq := w.binSeq
-			classes := 0
-			if y != nil && y.Kind == dataset.Categorical {
-				classes = w.schema.NumClasses
-			}
-			w.mu.Unlock()
-			if col == nil || !okb || rows == nil {
-				w.fail(msg.Task, "histogram request for column %d: not available", c)
-				return
-			}
-			bc := w.binnedFor(c, col, b, seq)
-			h := split.GetHist(b.NumBins, classes)
-			h.Fill(bc, y, rows)
-			w.sc.HistFilled()
-			hists[i] = h
-		}
-		w.send(MasterName, HistogramMsg{Task: msg.Task, Attempt: msg.Attempt, Worker: w.id, Cols: msg.Cols, Hists: hists})
-	})
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -141,14 +142,35 @@ func Load(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// SaveForestFile / LoadFile are path conveniences.
+// SaveForestFile / LoadFile are path conveniences. The model is written to a
+// temporary file in the same directory, whose name does not match *.tsmodel,
+// and renamed into place, so a directory watcher never observes a partially
+// written model.
 func SaveForestFile(path, name string, f *forest.Forest, schema Schema) error {
-	out, err := os.Create(path)
+	out, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("model: creating %s: %w", path, err)
 	}
-	defer out.Close()
-	return SaveForest(out, name, f, schema)
+	err = SaveForest(out, name, f, schema)
+	if err == nil {
+		// CreateTemp makes the file owner-only; a served model must stay
+		// readable by the serving process.
+		err = out.Chmod(0o644)
+	}
+	if err == nil {
+		err = out.Sync()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(out.Name(), path)
+	}
+	if err != nil {
+		os.Remove(out.Name())
+		return fmt.Errorf("model: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // LoadFile loads a model from a path.

@@ -3,8 +3,9 @@
 // loadbal.Matrix holds the *predicted* M_work[worker][{Comp,Send,Recv}]
 // charges of Section VI, a Registry accumulates the *observed* quantities —
 // comper compute time, send/receive stopwatches, per-link traffic, B_plan
-// push behaviour, task lifecycle counts and split-kernel dispatch rates — so
-// the two can be compared on a real run.
+// push behaviour, task lifecycle counts, split-kernel dispatch rates, and the
+// hist mode's bin rounds and histogram fills/subtractions — so the two can be
+// compared on a real run.
 //
 // Every counter is an atomic behind a nil-safe method: a disabled deployment
 // passes a nil *Registry (or nil *MasterObs / *WorkerObs / *SplitCounters)
@@ -190,12 +191,9 @@ type MasterObs struct {
 	leaseLost     atomic.Int64 // primary lease machines that fenced (lapse/higher gen)
 	failovers     atomic.Int64 // standby promotions driven to completion
 
-	// Histogram-mode telemetry (bin proposal and top-k vote aggregation).
+	// Histogram-mode telemetry (bin proposal).
 	binRounds    atomic.Int64 // bin proposal/broadcast rounds completed
 	sketchMerges atomic.Int64 // replica quantile summaries merged during bin proposal
-	voteMsgs     atomic.Int64 // TopKVoteMsg deliveries accepted
-	votes        atomic.Int64 // candidate splits received across those votes
-	histsFetched atomic.Int64 // full histograms shipped master-ward on request
 
 	// Elastic-fleet telemetry (live join / graceful drain / rebalancing).
 	joins          atomic.Int64 // workers admitted mid-job via the join handshake
@@ -572,24 +570,6 @@ func (m *MasterObs) BinRoundCompleted(sketchMerges int) {
 	}
 	m.binRounds.Add(1)
 	m.sketchMerges.Add(int64(sketchMerges))
-}
-
-// VoteReceived records one accepted TopKVoteMsg carrying n candidate splits.
-func (m *MasterObs) VoteReceived(n int) {
-	if m == nil {
-		return
-	}
-	m.voteMsgs.Add(1)
-	m.votes.Add(int64(n))
-}
-
-// HistogramsFetched records n full histograms shipped to the master after a
-// top-k election — the only histograms that ever cross the wire.
-func (m *MasterObs) HistogramsFetched(n int) {
-	if m == nil {
-		return
-	}
-	m.histsFetched.Add(int64(n))
 }
 
 // WorkerJoined records one worker admitted mid-job through the elastic join

@@ -61,11 +61,8 @@ type MasterSnapshot struct {
 	StreamApplied, StreamStale, StreamLag int64
 	LeaseRenewals, LeaseAcks              int64
 	LeaseLost, Failovers                  int64
-	// Histogram mode: bin rounds run, replica sketches merged, top-k vote
-	// messages (and candidates) accepted, full histograms fetched.
+	// Histogram mode: bin rounds run, replica sketches merged.
 	BinRounds, SketchMerges int64
-	VoteMsgs, Votes         int64
-	HistogramsFetched       int64
 	// Elastic fleet: workers joined mid-job, join requests rejected, workers
 	// gracefully drained (and force-shed drains), column replicas moved by
 	// join/drain rebalancing.
@@ -167,9 +164,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Failovers:               r.master.failovers.Load(),
 			BinRounds:               r.master.binRounds.Load(),
 			SketchMerges:            r.master.sketchMerges.Load(),
-			VoteMsgs:                r.master.voteMsgs.Load(),
-			Votes:                   r.master.votes.Load(),
-			HistogramsFetched:       r.master.histsFetched.Load(),
 			Joins:                   r.master.joins.Load(),
 			JoinRejects:             r.master.joinRejects.Load(),
 			Drains:                  r.master.drains.Load(),
@@ -307,8 +301,8 @@ func (s Snapshot) Report() string {
 			m.LeaseRenewals, m.LeaseAcks, m.LeaseLost, m.Failovers)
 	}
 	if m.BinRounds > 0 {
-		fmt.Fprintf(&b, "hist mode: %d bin round(s) merging %d sketches; %d vote msgs carrying %d candidates; %d histograms fetched\n",
-			m.BinRounds, m.SketchMerges, m.VoteMsgs, m.Votes, m.HistogramsFetched)
+		fmt.Fprintf(&b, "hist mode: %d bin round(s) merging %d sketches\n",
+			m.BinRounds, m.SketchMerges)
 	}
 	if m.Joins+m.JoinRejects+m.Drains+m.DrainSheds > 0 {
 		fmt.Fprintf(&b, "elastic: %d join(s), %d rejected, %d drain(s) (%d force-shed), %d columns rebalanced\n",

@@ -242,15 +242,6 @@ func (h *Hist) Total() int {
 	return n
 }
 
-// Clone returns an independent copy, used when a histogram outlives its pool
-// checkout (subtraction cache, wire messages).
-func (h *Hist) Clone() *Hist {
-	return &Hist{
-		NumBins: h.NumBins, Classes: h.Classes, Missing: h.Missing,
-		W: append([]float64(nil), h.W...),
-	}
-}
-
 // BestFromHist scans a (merged) histogram for the best split under the bins.
 // Numeric columns sweep the stored thresholds with incremental accumulators;
 // categorical columns reconstruct exact per-level statistics and reuse the
