@@ -374,18 +374,15 @@ func runHedgeOverhead(quick bool) []hedgeOverheadResult {
 	}
 	trainOnce := func(hedge float64, reg *obs.Registry) float64 {
 		chaos := transport.NewChaosNetwork(7, plan)
-		cfg := cluster.Config{
-			Workers: 5, Compers: 2, Replicas: 2,
-			Policy: task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 8},
+		c, err := cluster.NewInProcess(tbl,
+			cluster.WithWorkers(5), cluster.WithCompers(2), cluster.WithReplicas(2),
+			cluster.WithPolicy(task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 8}),
 			// Generous deadline so per-attempt re-execution stays out of the
 			// way and the A/B isolates hedging as the countermeasure.
-			TaskRetry:       2400 * time.Millisecond,
-			MaxTaskAttempts: 8,
-			HedgeFactor:     hedge,
-			WrapEndpoint:    chaos.Wrap,
-			Observer:        reg,
-		}
-		c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
+			cluster.WithTaskRetry(2400*time.Millisecond, 8),
+			cluster.WithHedgeFactor(hedge),
+			cluster.WithEndpointWrapper(chaos.Wrap),
+			cluster.WithObserver(reg))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,11 +47,15 @@ func elasticData() synth.Spec {
 
 func elasticCells() []elasticCell {
 	data := elasticData()
-	cfg := cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
-		Policy:          task.Policy{TauD: 500, TauDFS: 1500, NPool: 2},
-		TaskRetry:       250 * time.Millisecond,
-		MaxTaskAttempts: 8,
-		JobTimeout:      2 * time.Minute,
+	cfg := cluster.Config{
+		MasterConfig: cluster.MasterConfig{
+			NumWorkers: 4, Replicas: 2,
+			Policy:          task.Policy{TauD: 500, TauDFS: 1500, NPool: 2},
+			TaskRetry:       250 * time.Millisecond,
+			MaxTaskAttempts: 8,
+			JobTimeout:      2 * time.Minute,
+		},
+		Compers: 2,
 	}
 	drops := transport.FaultPlan{Name: "drops-delays", Links: []transport.LinkFault{
 		{From: "*", To: "*", Drop: 0.01, Delay: 100 * time.Microsecond, Jitter: 300 * time.Microsecond}}}
@@ -150,7 +154,7 @@ func runElastic(t *testing.T, cell elasticCell) {
 		cfg.WrapEndpoint = chaos.Wrap
 	}
 	reg := obs.NewRegistry()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
 	if err != nil {
 		failf(t, cell.Cell, chaos, "NewInProcess: %v", err)
@@ -270,7 +274,7 @@ func runElastic(t *testing.T, cell elasticCell) {
 			if !alive[o] {
 				failf(t, cell.Cell, chaos, "column %d owned by non-alive worker %d", col, o)
 			}
-			if o >= cfg.Workers {
+			if o >= cfg.NumWorkers {
 				joinerCols++
 			}
 		}

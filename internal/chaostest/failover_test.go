@@ -32,12 +32,15 @@ type failoverCell struct {
 func failoverCells() []failoverCell {
 	data := synth.Spec{Name: "fo", Rows: 2200, NumNumeric: 6, NumCategorical: 3,
 		CatLevels: 5, NumClasses: 3, MissingRate: 0.05, ConceptDepth: 6, LabelNoise: 0.05, Seed: 41}
-	cfg := cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
-		Policy:        task.Policy{TauD: 500, TauDFS: 1500, NPool: 2},
-		Standby:       true,
-		LeaseTTL:      200 * time.Millisecond,
-		RejoinTimeout: 5 * time.Second,
-		JobTimeout:    2 * time.Minute,
+	cfg := cluster.Config{
+		MasterConfig: cluster.MasterConfig{
+			NumWorkers: 4, Replicas: 2,
+			Policy:        task.Policy{TauD: 500, TauDFS: 1500, NPool: 2},
+			LeaseTTL:      200 * time.Millisecond,
+			RejoinTimeout: 5 * time.Second,
+			JobTimeout:    2 * time.Minute,
+		},
+		Compers: 2, Standby: true,
 	}
 	// The lossy cell needs master-side re-execution for dropped task traffic,
 	// and periodic stream snapshots so a silently dropped job-start record is
@@ -127,7 +130,7 @@ func runFailover(t *testing.T, cell failoverCell) {
 		cfg.WrapEndpoint = chaos.Wrap
 	}
 	reg := obs.NewRegistry()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
 	if err != nil {
 		failf(t, cell.Cell, chaos, "NewInProcess: %v", err)
@@ -226,8 +229,8 @@ func runFailover(t *testing.T, cell failoverCell) {
 	if promoted == nil {
 		failf(t, cell.Cell, chaos, "no promoted master after a completed takeover")
 	}
-	if alive := promoted.AliveWorkers(); len(alive) != cfg.Workers {
-		failf(t, cell.Cell, chaos, "alive workers %v after rejoin, want all %d", alive, cfg.Workers)
+	if alive := promoted.AliveWorkers(); len(alive) != cfg.NumWorkers {
+		failf(t, cell.Cell, chaos, "alive workers %v after rejoin, want all %d", alive, cfg.NumWorkers)
 	}
 
 	s := reg.Snapshot().Master

@@ -29,8 +29,8 @@ func grid() []Cell {
 			Seed: 1,
 			Data: synth.Spec{Name: "base", Rows: 2000, NumNumeric: 7, NumCategorical: 3,
 				CatLevels: 6, NumClasses: 2, MissingRate: 0.05, ConceptDepth: 6, LabelNoise: 0.05, Seed: 11},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
-				Policy: task.Policy{TauD: 500, TauDFS: 1500, NPool: 8},
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
+				Policy: task.Policy{TauD: 500, TauDFS: 1500, NPool: 8}}, Compers: 2,
 			},
 			Plan:  transport.FaultPlan{Name: "none"},
 			Trees: 3, Bag: 1500, MaxDepth: 8,
@@ -43,9 +43,9 @@ func grid() []Cell {
 			Seed: 2,
 			Data: synth.Spec{Name: "drops", Rows: 1600, NumNumeric: 8, NumCategorical: 2,
 				CatLevels: 5, NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 12},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
 				Policy:    task.Policy{TauD: 400, TauDFS: 1200, NPool: 8},
-				TaskRetry: 250 * time.Millisecond, MaxTaskAttempts: 8},
+				TaskRetry: 250 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 			Plan:         transport.FaultPlan{Name: "drops", Links: everyLink(transport.LinkFault{Drop: 0.03})},
 			ExpectFaults: true,
 			Trees:        2, Bag: 1200, MaxDepth: 8,
@@ -57,9 +57,9 @@ func grid() []Cell {
 			Seed: 3,
 			Data: synth.Spec{Name: "dd", Rows: 1800, NumNumeric: 6, NumCategorical: 4,
 				CatLevels: 7, NumClasses: 3, MissingRate: 0.1, ConceptDepth: 6, LabelNoise: 0.05, Seed: 13},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
 				Policy:    task.Policy{TauD: 600, TauDFS: 1800, NPool: 8},
-				TaskRetry: 300 * time.Millisecond, MaxTaskAttempts: 8},
+				TaskRetry: 300 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 			Plan: transport.FaultPlan{Name: "drops-delays",
 				Links: everyLink(transport.LinkFault{Drop: 0.02, Dup: 0.02,
 					Delay: 200 * time.Microsecond, Jitter: 500 * time.Microsecond})},
@@ -74,8 +74,8 @@ func grid() []Cell {
 			Seed: 4,
 			Data: synth.Spec{Name: "dupre", Rows: 1500, NumNumeric: 9, NumCategorical: 0,
 				NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 14},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
-				Policy: task.Policy{TauD: 300, TauDFS: 1000, NPool: 8},
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
+				Policy: task.Policy{TauD: 300, TauDFS: 1000, NPool: 8}}, Compers: 2,
 			},
 			Plan:         transport.FaultPlan{Name: "dup-reorder", Links: everyLink(transport.LinkFault{Dup: 0.05, Reorder: 0.04})},
 			ExpectFaults: true,
@@ -92,9 +92,9 @@ func grid() []Cell {
 			Seed: 5,
 			Data: synth.Spec{Name: "part", Rows: 1700, NumNumeric: 7, NumCategorical: 2,
 				CatLevels: 5, NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 15},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 3,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 3,
 				Policy:    task.Policy{TauD: 400, TauDFS: 1300, NPool: 8},
-				TaskRetry: 200 * time.Millisecond, MaxTaskAttempts: 12},
+				TaskRetry: 200 * time.Millisecond, MaxTaskAttempts: 12}, Compers: 2},
 			Plan: transport.FaultPlan{Name: "partition", Partitions: []transport.Partition{{
 				A:       []string{cluster.WorkerName(0), cluster.WorkerName(1)},
 				B:       []string{cluster.WorkerName(2), cluster.WorkerName(3)},
@@ -112,10 +112,10 @@ func grid() []Cell {
 			Seed: 6,
 			Data: synth.Spec{Name: "kill", Rows: 1600, NumNumeric: 8, NumCategorical: 2,
 				CatLevels: 6, NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 16},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
 				Policy:    task.Policy{TauD: 400, TauDFS: 1200, NPool: 8},
 				Heartbeat: 5 * time.Millisecond,
-				TaskRetry: 400 * time.Millisecond, MaxTaskAttempts: 8},
+				TaskRetry: 400 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 			Plan: transport.FaultPlan{Name: "kill-w2",
 				Kills: []transport.Kill{{Name: cluster.WorkerName(2), AfterSends: 60}}},
 			ExpectFaults: true,
@@ -131,9 +131,9 @@ func grid() []Cell {
 			Seed: 7,
 			Data: synth.Spec{Name: "serr", Rows: 1400, NumNumeric: 8, NumCategorical: 2,
 				CatLevels: 5, NumClasses: 0, ConceptDepth: 5, Seed: 17},
-			Cluster: cluster.Config{Workers: 4, Compers: 2, Replicas: 1,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 1,
 				Policy:    task.Policy{TauD: 350, TauDFS: 1100, NPool: 8},
-				TaskRetry: 300 * time.Millisecond, MaxTaskAttempts: 8},
+				TaskRetry: 300 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 			Plan:         transport.FaultPlan{Name: "senderr", Links: everyLink(transport.LinkFault{SendErr: 0.25})},
 			ExpectFaults: true,
 			Trees:        2, Bag: 1000, MaxDepth: 8,
@@ -145,9 +145,9 @@ func grid() []Cell {
 			Seed: 8,
 			Data: synth.Spec{Name: "gbtd", Rows: 1500, NumNumeric: 7, NumCategorical: 3,
 				CatLevels: 6, NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 18},
-			Cluster: cluster.Config{Workers: 5, Compers: 2, Replicas: 2,
+			Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 5, Replicas: 2,
 				Policy:    task.Policy{TauD: 450, TauDFS: 1350, NPool: 8},
-				TaskRetry: 250 * time.Millisecond, MaxTaskAttempts: 8},
+				TaskRetry: 250 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 			Plan:         transport.FaultPlan{Name: "gbt-drops", Links: everyLink(transport.LinkFault{Drop: 0.02, Dup: 0.02})},
 			ExpectFaults: true,
 			Trees:        1, MaxDepth: 8,

@@ -141,7 +141,7 @@ func Run(t *testing.T, cell Cell) {
 	// doubles as the registry's concurrency certificate — and the bit-for-bit
 	// equality assertions prove observation does not change the model.
 	reg := obs.NewRegistry()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
 	if err != nil {
 		failf(t, cell, chaos, "NewInProcess: %v", err)

@@ -47,15 +47,17 @@ func TestHistModeDeterministic(t *testing.T) {
 		plan := histChaosPlan()
 		chaos := transport.NewChaosNetwork(chaosSeed, plan)
 		cfg := cluster.Config{
-			Workers: 4, Compers: 2, Replicas: 2,
-			// TauD = 1: every split goes through the column-task protocol the
-			// hist mode replaces, never the serial subtree shortcut.
-			Policy:          task.Policy{TauD: 1, TauDFS: n / 2, NPool: 8},
-			TaskRetry:       250 * time.Millisecond,
-			MaxTaskAttempts: 8,
-			JobTimeout:      planTimeout(plan),
-			WrapEndpoint:    chaos.Wrap,
-			SplitMode:       mode,
+			MasterConfig: cluster.MasterConfig{
+				NumWorkers: 4, Replicas: 2,
+				// TauD = 1: every split goes through the column-task protocol the
+				// hist mode replaces, never the serial subtree shortcut.
+				Policy:          task.Policy{TauD: 1, TauDFS: n / 2, NPool: 8},
+				TaskRetry:       250 * time.Millisecond,
+				MaxTaskAttempts: 8,
+				JobTimeout:      planTimeout(plan),
+				SplitMode:       mode,
+			},
+			Compers: 2, WrapEndpoint: chaos.Wrap,
 		}
 		if mode == cluster.SplitHist {
 			cfg.MaxBins = 256

@@ -39,9 +39,9 @@ type masterKillCell struct {
 func masterKillCells() []masterKillCell {
 	data := synth.Spec{Name: "mk", Rows: 2200, NumNumeric: 6, NumCategorical: 3,
 		CatLevels: 5, NumClasses: 3, MissingRate: 0.05, ConceptDepth: 6, LabelNoise: 0.05, Seed: 21}
-	cfg := cluster.Config{Workers: 4, Compers: 2, Replicas: 2,
+	cfg := cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 4, Replicas: 2,
 		Policy:     task.Policy{TauD: 500, TauDFS: 1500, NPool: 2},
-		JobTimeout: 2 * time.Minute}
+		JobTimeout: 2 * time.Minute}, Compers: 2}
 	// The lossy cell needs master-side re-execution: send-level retries
 	// cannot see a silently dropped delivery.
 	lossyCfg := cfg
@@ -117,7 +117,7 @@ func runMasterKill(t *testing.T, cell masterKillCell) {
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = cell.CheckpointEvery
 	reg := obs.NewRegistry()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
 	if err != nil {
 		failf(t, cell.Cell, chaos, "NewInProcess: %v", err)
@@ -171,8 +171,8 @@ func runMasterKill(t *testing.T, cell masterKillCell) {
 	}
 
 	// The workers lived through the master crash and all rejoined.
-	if alive := c.Master.AliveWorkers(); len(alive) != cfg.Workers {
-		failf(t, cell.Cell, chaos, "alive workers %v after rejoin, want all %d", alive, cfg.Workers)
+	if alive := c.Master.AliveWorkers(); len(alive) != cfg.NumWorkers {
+		failf(t, cell.Cell, chaos, "alive workers %v after rejoin, want all %d", alive, cfg.NumWorkers)
 	}
 	s := reg.Snapshot().Master
 	if s.Restores != 1 {

@@ -61,12 +61,14 @@ func propertyTrial(t *testing.T, seed int64) {
 		Seed: seed,
 		Data: spec,
 		Cluster: cluster.Config{
-			Workers:     2 + rng.Intn(4),
+			MasterConfig: cluster.MasterConfig{
+				NumWorkers: 2 + rng.Intn(4),
+				Replicas:   1 + rng.Intn(2),
+				Policy:     task.Policy{TauD: tauD, TauDFS: 2*tauD + rng.Intn(800), NPool: 4 + rng.Intn(8)},
+				JobTimeout: time.Minute,
+			},
 			Compers:     1 + rng.Intn(3),
-			Replicas:    1 + rng.Intn(2),
-			Policy:      task.Policy{TauD: tauD, TauDFS: 2*tauD + rng.Intn(800), NPool: 4 + rng.Intn(8)},
 			Passthrough: rng.Intn(2) == 0, // cover both fabric serialisation modes
-			JobTimeout:  time.Minute,
 		},
 		Trees:    1 + rng.Intn(2),
 		MaxDepth: 5 + rng.Intn(4),

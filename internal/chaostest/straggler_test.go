@@ -39,9 +39,9 @@ func grayCell(name string, seed int64, mut func(*Cell)) Cell {
 		Seed: seed,
 		Data: synth.Spec{Name: name, Rows: 1800, NumNumeric: 7, NumCategorical: 2,
 			CatLevels: 5, NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 100 + seed},
-		Cluster: cluster.Config{Workers: 5, Compers: 2, Replicas: 2,
+		Cluster: cluster.Config{MasterConfig: cluster.MasterConfig{NumWorkers: 5, Replicas: 2,
 			Policy:    task.Policy{TauD: 400, TauDFS: 1200, NPool: 8},
-			TaskRetry: 600 * time.Millisecond, MaxTaskAttempts: 8},
+			TaskRetry: 600 * time.Millisecond, MaxTaskAttempts: 8}, Compers: 2},
 		Plan: transport.FaultPlan{Name: name,
 			Links: grayLinks(), Degrades: degradeW2()},
 		ExpectFaults: true,

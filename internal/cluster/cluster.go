@@ -84,83 +84,32 @@ func ParseSplitMode(s string) (SplitMode, error) {
 	}
 }
 
-// Config describes an in-process TreeServer deployment. It is the internal
-// carrier the Option constructors write into; callers normally use
+// Config describes an in-process TreeServer deployment: the master's
+// configuration plus the few settings that only exist when master, workers
+// and fabric share one process. It is the internal carrier the Option
+// constructors write into; callers normally use
 // NewInProcess(tbl, cluster.WithWorkers(8), ...) rather than building one
 // directly.
 type Config struct {
-	// Workers is the number of worker machines (paper: 15). Default 4.
-	Workers int
+	// MasterConfig is the master's configuration. NumWorkers defaults to 4,
+	// Replicas to 2 (clamped to NumWorkers) and JobTimeout to 5 minutes
+	// (negative disables it); every other field defaults as in NewMaster.
+	MasterConfig
 	// Compers is the computing-thread pool size per worker (paper: 10).
 	// Default 4.
 	Compers int
-	// Replicas is k, the column replication factor (paper default 2, clamped
-	// to Workers when defaulted).
-	Replicas int
-	// Policy holds τ_D, τ_dfs and n_pool; zero value uses the paper's
-	// defaults.
-	Policy task.Policy
-	// Heartbeat enables failure detection (0 = off).
-	Heartbeat time.Duration
-	// Ablation selects an ablation experiment mode (default AblationNone).
-	Ablation AblationMode
 	// BandwidthBps models per-machine link speed (0 = unlimited).
 	BandwidthBps float64
 	// Passthrough skips gob serialisation on the in-memory fabric.
 	Passthrough bool
-	// JobTimeout bounds each Train call (default 5 minutes; <0 disables).
-	JobTimeout time.Duration
-	// TaskRetry enables master-side task re-execution on this per-attempt
-	// deadline (0 = off); MaxTaskAttempts bounds executions per task.
-	TaskRetry       time.Duration
-	MaxTaskAttempts int
-	// HeartbeatBudget overrides the failure-detection budget in missed
-	// probes (0 = default 20; negative is rejected).
-	HeartbeatBudget int
-	// MaxTreeRestarts bounds delegate-loss restarts per tree (0 = default 8;
-	// negative is rejected); exceeding it fails the job.
-	MaxTreeRestarts int
-	// CheckpointDir enables durable master checkpointing into this directory;
-	// CheckpointEvery adds periodic snapshots between tree boundaries.
-	CheckpointDir   string
-	CheckpointEvery time.Duration
-	// RejoinTimeout bounds the worker rejoin handshake during Resume
-	// (0 = default 10s).
-	RejoinTimeout time.Duration
-	// FleetCap bounds the total fleet size live joins may grow the cluster
-	// to (0 = unbounded). Must be 0 or >= Workers.
-	FleetCap int
-	// HedgeFactor enables hedged task execution (0 = off): a task attempt
-	// outliving HedgeFactor × the fleet latency estimate for its size gets a
-	// racing duplicate on disjoint workers.
-	HedgeFactor float64
-	// QuarantineThreshold enables straggler quarantine (0 = off): workers
-	// whose median-normalised health score drops below it are excluded from
-	// new placement until a probe passes at fleet-typical speed.
-	QuarantineThreshold float64
-	// MaxQuarantined bounds simultaneously quarantined workers
-	// (0 = default max(1, Workers/4)).
-	MaxQuarantined int
-	// SplitMode selects exact (default) or histogram-approximate split
-	// finding for column tasks. Subtree tasks always train exactly.
-	SplitMode SplitMode
-	// MaxBins bounds the bins per numeric column in hist mode (default 64).
-	MaxBins int
 	// Standby enables the hot-standby master: checkpoint records stream to a
 	// live replica that takes over via the failover lease when the primary
 	// dies. Works with or without CheckpointDir (diskless failover).
 	Standby bool
-	// LeaseTTL is the failover lease duration (0 = default 2s). Requires
-	// Standby.
-	LeaseTTL time.Duration
 	// WrapEndpoint, when set, decorates every endpoint (master and workers)
 	// before use — the hook the chaos harness uses to inject faults into the
 	// fabric without the cluster knowing.
 	WrapEndpoint func(transport.Endpoint) transport.Endpoint
-	// Observer, when set, threads live telemetry through the whole stack:
-	// transport links, master scheduling, worker stopwatches and split
-	// kernels. nil disables telemetry at one pointer check per event.
-	Observer *obs.Registry
 }
 
 // Option mutates a Config — the documented constructor surface of
@@ -168,7 +117,7 @@ type Config struct {
 type Option func(*Config)
 
 // WithWorkers sets the number of worker machines.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *Config) { c.NumWorkers = n } }
 
 // WithCompers sets the computing-thread pool size per worker.
 func WithCompers(n int) Option { return func(c *Config) { c.Compers = n } }
@@ -273,83 +222,24 @@ func WithEndpointWrapper(wrap func(transport.Endpoint) transport.Endpoint) Optio
 }
 
 // WithObserver attaches a telemetry registry to the deployment.
-func WithObserver(r *obs.Registry) Option { return func(c *Config) { c.Observer = r } }
+func WithObserver(r *obs.Registry) Option { return func(c *Config) { c.Obs = r } }
 
 // WithConfig replaces the whole Config — the escape hatch for harnesses that
 // build configurations programmatically (chaos grids, experiment sweeps).
 // Options applied after it still take effect.
 func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
-// validate rejects configurations that previously defaulted or panicked
-// silently. It runs on the caller's values, before defaults are applied.
-func (c Config) validate() error {
-	if c.Workers < 0 {
-		return fmt.Errorf("cluster: Workers %d is negative", c.Workers)
-	}
-	if c.Compers < 0 {
-		return fmt.Errorf("cluster: Compers %d is negative", c.Compers)
-	}
-	if c.Replicas < 0 {
-		return fmt.Errorf("cluster: Replicas %d is negative", c.Replicas)
-	}
-	workers := c.Workers
-	if workers == 0 {
-		workers = 4
-	}
-	if c.Replicas > workers {
-		return fmt.Errorf("cluster: Replicas %d exceeds Workers %d — a column cannot have more replicas than machines", c.Replicas, workers)
-	}
-	if c.FleetCap < 0 {
-		return fmt.Errorf("cluster: FleetCap %d is negative", c.FleetCap)
-	}
-	if c.FleetCap > 0 && c.FleetCap < workers {
-		return fmt.Errorf("cluster: FleetCap %d is below the initial fleet of %d workers", c.FleetCap, workers)
-	}
-	if c.Ablation >= ablationModes {
-		return fmt.Errorf("cluster: unknown AblationMode(%d)", uint8(c.Ablation))
-	}
-	if c.HeartbeatBudget < 0 {
-		return fmt.Errorf("cluster: HeartbeatBudget %d is negative", c.HeartbeatBudget)
-	}
-	if c.MaxTreeRestarts < 0 {
-		return fmt.Errorf("cluster: MaxTreeRestarts %d is negative", c.MaxTreeRestarts)
-	}
-	if c.CheckpointDir == "" && !c.Standby && c.CheckpointEvery != 0 {
-		return fmt.Errorf("cluster: CheckpointEvery set without CheckpointDir or Standby")
-	}
-	if c.LeaseTTL < 0 {
-		return fmt.Errorf("cluster: LeaseTTL %v is negative", c.LeaseTTL)
-	}
-	if c.LeaseTTL > 0 && !c.Standby {
-		return fmt.Errorf("cluster: LeaseTTL set without Standby")
-	}
-	if c.SplitMode >= splitModes {
-		return fmt.Errorf("cluster: unknown SplitMode(%d)", uint8(c.SplitMode))
-	}
-	if c.MaxBins < 0 || c.MaxBins == 1 {
-		return fmt.Errorf("cluster: MaxBins %d must be 0 (default) or >= 2", c.MaxBins)
-	}
-	if c.MaxBins > 60000 {
-		return fmt.Errorf("cluster: MaxBins %d exceeds the uint16 bin-index range", c.MaxBins)
-	}
-	return nil
-}
-
+// withDefaults fills the in-process defaults. It only replaces zero values,
+// so a negative count still reaches MasterConfig.validate and is rejected.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
+	if c.NumWorkers == 0 {
+		c.NumWorkers = 4
 	}
-	if c.Compers <= 0 {
+	if c.Compers == 0 {
 		c.Compers = 4
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-		if c.Replicas > c.Workers {
-			c.Replicas = c.Workers
-		}
-	}
-	if c.Policy == (task.Policy{}) {
-		c.Policy = task.DefaultPolicy()
+	if c.Replicas == 0 {
+		c.Replicas = min(2, c.NumWorkers)
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
@@ -357,11 +247,10 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout < 0 {
 		c.JobTimeout = 0
 	}
-	if c.SplitMode == SplitHist && c.MaxBins == 0 {
-		c.MaxBins = 64
-	}
-	if c.Standby && c.LeaseTTL == 0 {
-		c.LeaseTTL = DefaultLeaseTTL
+	// The in-process standby always listens under StandbyName.
+	c.StandbyName = ""
+	if c.Standby {
+		c.StandbyName = StandbyName
 	}
 	return c
 }
@@ -383,7 +272,6 @@ type Cluster struct {
 	schema    Schema
 	placement loadbal.Placement
 	endpoint  func(string) transport.Endpoint
-	masterCfg MasterConfig
 
 	// y is the shared label column, kept so Join can hand it to workers
 	// created after construction (the paper loads Y on every machine).
@@ -404,17 +292,20 @@ func NewInProcess(tbl *dataset.Table, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if cfg.Compers < 0 {
+		return nil, fmt.Errorf("cluster: Compers %d is negative", cfg.Compers)
+	}
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 
 	net := transport.NewMemNetwork()
 	net.BandwidthBps = cfg.BandwidthBps
 	net.Passthrough = cfg.Passthrough
 
 	schema := SchemaOf(tbl)
-	placement := loadbal.RoundRobin(tbl.FeatureIndexes(), cfg.Workers, cfg.Replicas)
+	placement := loadbal.RoundRobin(tbl.FeatureIndexes(), cfg.NumWorkers, cfg.Replicas)
 
 	// The telemetry decorator wraps outermost so it observes exactly what the
 	// application sends and receives — after any fault-injection wrapper has
@@ -424,11 +315,11 @@ func NewInProcess(tbl *dataset.Table, opts ...Option) (*Cluster, error) {
 		if cfg.WrapEndpoint != nil {
 			ep = cfg.WrapEndpoint(ep)
 		}
-		return cfg.Observer.Wrap(ep)
+		return cfg.Obs.Wrap(ep)
 	}
 
 	c := &Cluster{Net: net, cfg: cfg, start: time.Now()}
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < cfg.NumWorkers; w++ {
 		cols := map[int]*dataset.Column{}
 		for col, owners := range placement.Owners {
 			for _, o := range owners {
@@ -437,42 +328,18 @@ func NewInProcess(tbl *dataset.Table, opts ...Option) (*Cluster, error) {
 				}
 			}
 		}
-		worker := NewWorker(w, endpoint(WorkerName(w)), schema, cols, tbl.Y(), cfg.Compers, cfg.Observer)
+		worker := NewWorker(w, endpoint(WorkerName(w)), schema, cols, tbl.Y(), cfg.Compers, cfg.Obs)
 		worker.Start()
 		c.Workers = append(c.Workers, worker)
 	}
 	c.schema, c.placement, c.endpoint = schema, placement, endpoint
 	c.y = tbl.Y()
-	c.masterCfg = MasterConfig{
-		NumWorkers: cfg.Workers, Policy: cfg.Policy,
-		Heartbeat:           cfg.Heartbeat,
-		HeartbeatBudget:     cfg.HeartbeatBudget,
-		Ablation:            cfg.Ablation,
-		JobTimeout:          cfg.JobTimeout,
-		TaskRetry:           cfg.TaskRetry,
-		MaxTaskAttempts:     cfg.MaxTaskAttempts,
-		MaxTreeRestarts:     cfg.MaxTreeRestarts,
-		CheckpointDir:       cfg.CheckpointDir,
-		CheckpointEvery:     cfg.CheckpointEvery,
-		RejoinTimeout:       cfg.RejoinTimeout,
-		Replicas:            cfg.Replicas,
-		HedgeFactor:         cfg.HedgeFactor,
-		QuarantineThreshold: cfg.QuarantineThreshold,
-		MaxQuarantined:      cfg.MaxQuarantined,
-		SplitMode:           cfg.SplitMode,
-		MaxBins:             cfg.MaxBins,
-		FleetCap:            cfg.FleetCap,
-		Obs:                 cfg.Observer,
-	}
 	if cfg.Standby {
 		// The standby endpoint must exist before the master starts: the
 		// in-memory fabric treats a send to an unknown name as permanent.
-		c.masterCfg.StandbyName = StandbyName
-		c.masterCfg.LeaseTTL = cfg.LeaseTTL
 		sb, err := NewStandby(endpoint(StandbyName), StandbyConfig{
 			Schema:    schema,
-			MasterCfg: c.masterCfg,
-			LeaseTTL:  cfg.LeaseTTL,
+			MasterCfg: cfg.MasterConfig,
 			Rebind:    c.rebindMasterEndpoint,
 		})
 		if err != nil {
@@ -485,7 +352,7 @@ func NewInProcess(tbl *dataset.Table, opts ...Option) (*Cluster, error) {
 		c.Standby = sb
 		c.Standby.Start()
 	}
-	m, err := NewMaster(endpoint(MasterName), schema, placement, c.masterCfg)
+	m, err := NewMaster(endpoint(MasterName), schema, placement, cfg.MasterConfig)
 	if err != nil {
 		if c.Standby != nil {
 			c.Standby.Stop()
@@ -513,7 +380,7 @@ func (c *Cluster) rebindMasterEndpoint() (transport.Endpoint, error) {
 
 // Observer returns the telemetry registry the cluster was built with (nil
 // when telemetry is disabled).
-func (c *Cluster) Observer() *obs.Registry { return c.cfg.Observer }
+func (c *Cluster) Observer() *obs.Registry { return c.cfg.Obs }
 
 // Train runs one job and returns the trees in spec order.
 func (c *Cluster) Train(specs []TreeSpec) ([]*core.Tree, error) {
@@ -537,7 +404,7 @@ func (c *Cluster) TrainOne(params core.Params) (*core.Tree, error) {
 // safe for concurrent Join calls.
 func (c *Cluster) Join() (*Worker, error) {
 	i := len(c.Workers)
-	w := NewWorker(i, c.endpoint(WorkerName(i)), c.schema, map[int]*dataset.Column{}, c.y, c.cfg.Compers, c.cfg.Observer)
+	w := NewWorker(i, c.endpoint(WorkerName(i)), c.schema, map[int]*dataset.Column{}, c.y, c.cfg.Compers, c.cfg.Obs)
 	w.Start()
 	c.Workers = append(c.Workers, w)
 	if err := w.Join(c.cfg.JobTimeout); err != nil {
@@ -586,7 +453,7 @@ func (c *Cluster) RestartMaster() error {
 	if err != nil {
 		return err
 	}
-	m, err := NewMaster(ep, c.schema, c.placement, c.masterCfg)
+	m, err := NewMaster(ep, c.schema, c.placement, c.cfg.MasterConfig)
 	if err != nil {
 		return err
 	}

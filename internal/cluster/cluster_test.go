@@ -18,7 +18,7 @@ func smallPolicy() task.Policy {
 }
 
 func testConfig() Config {
-	return Config{Workers: 4, Compers: 2, Replicas: 2, Policy: smallPolicy(), JobTimeout: time.Minute}
+	return Config{MasterConfig: MasterConfig{NumWorkers: 4, Replicas: 2, Policy: smallPolicy(), JobTimeout: time.Minute}, Compers: 2}
 }
 
 // newTestCluster builds a cluster from a literal Config, failing the test on
@@ -119,7 +119,7 @@ func TestAllColumnPath(t *testing.T) {
 func TestSingleWorkerCluster(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{Name: "w1", Rows: 2000, NumNumeric: 5, NumClasses: 2, ConceptDepth: 4, Seed: 33})
 	cfg := testConfig()
-	cfg.Workers = 1
+	cfg.NumWorkers = 1
 	cfg.Replicas = 1
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
@@ -315,7 +315,7 @@ func TestLoadBalancedBetterOrEqualMasterBytes(t *testing.T) {
 func TestWorkerCrashRecovery(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{Name: "crash", Rows: 6000, NumNumeric: 8, NumClasses: 2, ConceptDepth: 6, LabelNoise: 0.05, Seed: 41})
 	cfg := testConfig()
-	cfg.Workers = 5
+	cfg.NumWorkers = 5
 	cfg.Heartbeat = 20 * time.Millisecond
 	cfg.JobTimeout = 2 * time.Minute
 	c := newTestCluster(t, tbl, cfg)

@@ -208,7 +208,7 @@ func TestHistObsCounters(t *testing.T) {
 		NumClasses: 2, ConceptDepth: 5, Seed: 77})
 	reg := obs.NewRegistry()
 	cfg := histConfig(32)
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 	params := core.Defaults()

@@ -27,10 +27,15 @@ type TreeSpec struct {
 	Bag BagSpec
 }
 
-// MasterConfig tunes the master's scheduling and fault handling.
+// MasterConfig tunes the master's scheduling and fault handling. It is the
+// one configuration of a training job: NewMaster takes it directly, and the
+// in-process Config embeds it.
 type MasterConfig struct {
+	// NumWorkers is the number of worker machines (paper: 15).
 	NumWorkers int
-	Policy     task.Policy
+	// Policy holds τ_D, τ_dfs and n_pool; the zero value uses the paper's
+	// defaults.
+	Policy task.Policy
 	// Heartbeat enables worker failure detection at this probe interval;
 	// zero disables it (a worker is declared failed after 3 missed probes).
 	Heartbeat time.Duration
@@ -112,6 +117,47 @@ type MasterConfig struct {
 	// Obs, when non-nil, receives the master's scheduling telemetry (B_plan
 	// pushes, pool occupancy, task lifecycle spans).
 	Obs *obs.Registry
+}
+
+// validate rejects configurations that would otherwise default or fail
+// silently. It runs on the caller's values, before any default is filled:
+// NewMaster calls it, and NewInProcess calls it before any worker starts.
+func (c MasterConfig) validate() error {
+	switch {
+	case c.NumWorkers < 0:
+		return fmt.Errorf("cluster: NumWorkers %d is negative", c.NumWorkers)
+	case c.Replicas < 0:
+		return fmt.Errorf("cluster: Replicas %d is negative", c.Replicas)
+	case c.Replicas > c.NumWorkers:
+		return fmt.Errorf("cluster: Replicas %d exceeds NumWorkers %d — a column cannot have more replicas than machines", c.Replicas, c.NumWorkers)
+	case c.FleetCap < 0:
+		return fmt.Errorf("cluster: FleetCap %d is negative", c.FleetCap)
+	case c.FleetCap > 0 && c.FleetCap < c.NumWorkers:
+		return fmt.Errorf("cluster: FleetCap %d is below the initial fleet of %d workers", c.FleetCap, c.NumWorkers)
+	case c.Ablation >= ablationModes:
+		return fmt.Errorf("cluster: unknown AblationMode(%d)", uint8(c.Ablation))
+	case c.HeartbeatBudget < 0:
+		return fmt.Errorf("cluster: HeartbeatBudget %d is negative", c.HeartbeatBudget)
+	case c.MaxTreeRestarts < 0:
+		return fmt.Errorf("cluster: MaxTreeRestarts %d is negative", c.MaxTreeRestarts)
+	case c.CheckpointEvery != 0 && c.CheckpointDir == "" && c.StandbyName == "":
+		return fmt.Errorf("cluster: CheckpointEvery set without CheckpointDir or StandbyName")
+	case c.LeaseTTL < 0:
+		return fmt.Errorf("cluster: LeaseTTL %v is negative", c.LeaseTTL)
+	case c.LeaseTTL > 0 && c.StandbyName == "":
+		return fmt.Errorf("cluster: LeaseTTL set without StandbyName")
+	case c.HedgeFactor < 0:
+		return fmt.Errorf("cluster: HedgeFactor %g is negative", c.HedgeFactor)
+	case c.QuarantineThreshold < 0 || c.QuarantineThreshold >= 1:
+		return fmt.Errorf("cluster: QuarantineThreshold %g outside [0,1)", c.QuarantineThreshold)
+	case c.MaxQuarantined < 0:
+		return fmt.Errorf("cluster: MaxQuarantined %d is negative", c.MaxQuarantined)
+	case c.SplitMode >= splitModes:
+		return fmt.Errorf("cluster: unknown SplitMode(%d)", uint8(c.SplitMode))
+	case c.MaxBins < 0 || c.MaxBins == 1 || c.MaxBins > 60000:
+		return fmt.Errorf("cluster: MaxBins %d must be 0 (default) or in [2, 60000]", c.MaxBins)
+	}
+	return nil
 }
 
 // plan is a task not yet assigned to workers (an element of B_plan).
@@ -292,50 +338,26 @@ type Master struct {
 // opens (creating if necessary) the checkpoint directory; a directory that
 // cannot be opened is an error up front, not a silent loss of durability.
 func NewMaster(ep transport.Endpoint, schema Schema, placement loadbal.Placement, cfg MasterConfig) (*Master, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Policy == (task.Policy{}) {
 		cfg.Policy = task.DefaultPolicy()
-	}
-	if cfg.HeartbeatBudget < 0 {
-		return nil, fmt.Errorf("cluster: HeartbeatBudget %d is negative", cfg.HeartbeatBudget)
 	}
 	if cfg.HeartbeatBudget == 0 {
 		cfg.HeartbeatBudget = heartbeatMissedProbes
 	}
-	if cfg.MaxTreeRestarts < 0 {
-		return nil, fmt.Errorf("cluster: MaxTreeRestarts %d is negative", cfg.MaxTreeRestarts)
-	}
 	if cfg.MaxTreeRestarts == 0 {
 		cfg.MaxTreeRestarts = defaultMaxTreeRestarts
 	}
-	if cfg.HedgeFactor < 0 {
-		return nil, fmt.Errorf("cluster: HedgeFactor %g is negative", cfg.HedgeFactor)
-	}
-	if cfg.QuarantineThreshold < 0 || cfg.QuarantineThreshold >= 1 {
-		return nil, fmt.Errorf("cluster: QuarantineThreshold %g outside [0,1)", cfg.QuarantineThreshold)
-	}
-	if cfg.MaxQuarantined < 0 {
-		return nil, fmt.Errorf("cluster: MaxQuarantined %d is negative", cfg.MaxQuarantined)
-	}
 	if cfg.MaxQuarantined == 0 {
-		cfg.MaxQuarantined = cfg.NumWorkers / 4
-		if cfg.MaxQuarantined < 1 {
-			cfg.MaxQuarantined = 1
-		}
-	}
-	if cfg.FleetCap < 0 {
-		return nil, fmt.Errorf("cluster: FleetCap %d is negative", cfg.FleetCap)
-	}
-	if cfg.FleetCap > 0 && cfg.FleetCap < cfg.NumWorkers {
-		return nil, fmt.Errorf("cluster: FleetCap %d below initial fleet %d", cfg.FleetCap, cfg.NumWorkers)
-	}
-	if cfg.SplitMode >= splitModes {
-		return nil, fmt.Errorf("cluster: unknown SplitMode(%d)", uint8(cfg.SplitMode))
-	}
-	if cfg.MaxBins < 0 || cfg.MaxBins == 1 || cfg.MaxBins > 60000 {
-		return nil, fmt.Errorf("cluster: MaxBins %d must be 0 (default) or in [2, 60000]", cfg.MaxBins)
+		cfg.MaxQuarantined = max(1, cfg.NumWorkers/4)
 	}
 	if cfg.SplitMode == SplitHist && cfg.MaxBins == 0 {
 		cfg.MaxBins = 64
+	}
+	if cfg.StandbyName != "" && cfg.LeaseTTL == 0 {
+		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	// Own the Kinds slice: SetTarget mutates it in place, and a master built
 	// by a promoted standby shares the caller's backing array with the old
@@ -365,16 +387,6 @@ func NewMaster(ep transport.Endpoint, schema Schema, placement loadbal.Placement
 	if cfg.HedgeFactor > 0 || cfg.QuarantineThreshold > 0 {
 		m.health = newHealthTracker(cfg.NumWorkers)
 	}
-	if cfg.LeaseTTL < 0 {
-		return nil, fmt.Errorf("cluster: LeaseTTL %v is negative", cfg.LeaseTTL)
-	}
-	if cfg.LeaseTTL > 0 && cfg.StandbyName == "" {
-		return nil, fmt.Errorf("cluster: LeaseTTL set without StandbyName")
-	}
-	if cfg.StandbyName != "" && cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	m.cfg = cfg
 	var sinks []checkpoint.Sink
 	if cfg.CheckpointDir != "" {
 		ck, err := checkpoint.NewWriter(cfg.CheckpointDir)

@@ -26,7 +26,7 @@ func TestJoinBetweenJobs(t *testing.T) {
 	tbl := memberTable()
 	reg := obs.NewRegistry()
 	cfg := testConfig()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -176,7 +176,7 @@ func TestDrainGraceful(t *testing.T) {
 	tbl := memberTable()
 	reg := obs.NewRegistry()
 	cfg := testConfig()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -279,8 +279,8 @@ func TestFleetCapRejectsJoin(t *testing.T) {
 	tbl := memberTable()
 	reg := obs.NewRegistry()
 	cfg := testConfig()
-	cfg.FleetCap = cfg.Workers
-	cfg.Observer = reg
+	cfg.FleetCap = cfg.NumWorkers
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -289,7 +289,7 @@ func TestFleetCapRejectsJoin(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("join rejection reason %q does not mention the cap", err)
 	}
-	if n := c.Master.PlacementSnapshot().NumWorkers; n != cfg.Workers {
+	if n := c.Master.PlacementSnapshot().NumWorkers; n != cfg.NumWorkers {
 		t.Fatalf("fleet grew to %d despite the cap", n)
 	}
 	if m := reg.Snapshot().Master; m.JoinRejects == 0 || m.Joins != 0 {
@@ -323,7 +323,7 @@ func TestJoinGenerationFence(t *testing.T) {
 func TestDrainValidation(t *testing.T) {
 	tbl := memberTable()
 	cfg := testConfig()
-	cfg.Workers = 2
+	cfg.NumWorkers = 2
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 

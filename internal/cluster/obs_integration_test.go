@@ -24,7 +24,7 @@ func TestTelemetryLedgerReconciles(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	cfg := testConfig()
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -79,8 +79,8 @@ func TestTelemetryLedgerReconciles(t *testing.T) {
 	// M_work: every alive worker must have measured computation time, and
 	// the matrix must align with the workers slice.
 	mwork := s.MWork()
-	if len(mwork) != cfg.Workers || len(s.Workers) != cfg.Workers {
-		t.Fatalf("M_work has %d rows for %d workers", len(mwork), cfg.Workers)
+	if len(mwork) != cfg.NumWorkers || len(s.Workers) != cfg.NumWorkers {
+		t.Fatalf("M_work has %d rows for %d workers", len(mwork), cfg.NumWorkers)
 	}
 	for i, row := range mwork {
 		if row[0] <= 0 {
@@ -126,10 +126,10 @@ func TestTelemetryLedgerBalancesAfterCrash(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	cfg := testConfig()
-	cfg.Workers = 5
+	cfg.NumWorkers = 5
 	cfg.Heartbeat = 20 * time.Millisecond
 	cfg.JobTimeout = 2 * time.Minute
-	cfg.Observer = reg
+	cfg.Obs = reg
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -181,17 +181,14 @@ func TestNewInProcessValidation(t *testing.T) {
 	if _, err := NewInProcess(nil); err == nil {
 		t.Fatal("nil table accepted")
 	}
-	if _, err := NewInProcess(tbl, WithWorkers(-1)); err == nil {
-		t.Fatal("negative Workers accepted")
-	}
+	// Compers is the one count NewInProcess checks itself; the master's
+	// checks are pinned by TestMasterConfigValidate.
 	if _, err := NewInProcess(tbl, WithCompers(-2)); err == nil {
 		t.Fatal("negative Compers accepted")
 	}
-	if _, err := NewInProcess(tbl, WithWorkers(2), WithReplicas(3)); err == nil {
-		t.Fatal("Replicas > Workers accepted")
-	}
-	if _, err := NewInProcess(tbl, WithAblation(AblationMode(99))); err == nil {
-		t.Fatal("unknown ablation mode accepted")
+	// A negative count must reach the check rather than be defaulted away.
+	if _, err := NewInProcess(tbl, WithWorkers(-1)); err == nil {
+		t.Fatal("negative Workers accepted")
 	}
 
 	// Defaulted Replicas must clamp to Workers rather than error.

@@ -66,7 +66,7 @@ func TestMasterKillResumeBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = task.Policy{TauD: 600, TauDFS: 2400, NPool: 2}
 	cfg.CheckpointDir = t.TempDir()
-	cfg.Observer = obs.NewRegistry()
+	cfg.Obs = obs.NewRegistry()
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -101,7 +101,7 @@ func TestMasterKillResumeBitIdentical(t *testing.T) {
 	}
 	assertBitIdentical(t, got, serialOracle(tbl, specs))
 
-	s := cfg.Observer.Snapshot().Master
+	s := cfg.Obs.Snapshot().Master
 	if s.Restores != 1 || s.RestoredTrees < 2 {
 		t.Fatalf("restore telemetry: restores %d restored %d, want 1 restore of >= 2 trees", s.Restores, s.RestoredTrees)
 	}
@@ -123,7 +123,7 @@ func TestResumeAfterJobComplete(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.CheckpointDir = t.TempDir()
-	cfg.Observer = obs.NewRegistry()
+	cfg.Obs = obs.NewRegistry()
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
@@ -140,7 +140,7 @@ func TestResumeAfterJobComplete(t *testing.T) {
 		t.Fatalf("Resume: %v", err)
 	}
 	assertBitIdentical(t, got, want)
-	if s := cfg.Observer.Snapshot().Master; s.RestoredTrees != 3 {
+	if s := cfg.Obs.Snapshot().Master; s.RestoredTrees != 3 {
 		t.Fatalf("restored %d trees from final snapshot, want 3", s.RestoredTrees)
 	}
 }
@@ -226,14 +226,14 @@ func TestCheckpointEveryWritesPeriodicSnapshots(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = 20 * time.Millisecond
-	cfg.Observer = obs.NewRegistry()
+	cfg.Obs = obs.NewRegistry()
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 
 	if _, err := c.Train(recoverySpecs(tbl.NumRows(), 4)); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	if s := cfg.Observer.Snapshot().Master; s.CheckpointSnapshots < 3 {
+	if s := cfg.Obs.Snapshot().Master; s.CheckpointSnapshots < 3 {
 		t.Fatalf("periodic checkpointing wrote %d snapshots, want >= 3", s.CheckpointSnapshots)
 	}
 }

@@ -44,13 +44,12 @@ type Standby struct {
 type StandbyConfig struct {
 	// Schema is the dataset schema the promoted master trains against.
 	Schema Schema
-	// MasterCfg is the configuration the promoted master runs with. The
-	// standby clears StandbyName/LeaseTTL on promotion (the promoted master
-	// has no standby behind it) and keeps everything else, including
-	// CheckpointDir if the deployment also logs to disk.
+	// MasterCfg is the primary's configuration. Its LeaseTTL (default
+	// DefaultLeaseTTL, as in NewMaster) is the watched lease duration. The
+	// promoted master runs with it, minus StandbyName/LeaseTTL (it has no
+	// standby behind it); everything else stays, including CheckpointDir if
+	// the deployment also logs to disk.
 	MasterCfg MasterConfig
-	// LeaseTTL is the watched lease duration; must match the primary's.
-	LeaseTTL time.Duration
 	// Rebind re-homes the master transport name to the standby's side and
 	// returns the fresh endpoint the promoted master will run on. In the
 	// in-memory fabric this is MemNetwork.Reset(MasterName), which also
@@ -61,8 +60,11 @@ type StandbyConfig struct {
 // NewStandby builds a standby listening on ep (conventionally named
 // StandbyName). Start launches its receive and watchdog loops.
 func NewStandby(ep transport.Endpoint, cfg StandbyConfig) (*Standby, error) {
-	if cfg.LeaseTTL <= 0 {
-		return nil, fmt.Errorf("cluster: standby requires a positive LeaseTTL")
+	if err := cfg.MasterCfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.MasterCfg.LeaseTTL == 0 {
+		cfg.MasterCfg.LeaseTTL = DefaultLeaseTTL
 	}
 	if cfg.Rebind == nil {
 		return nil, fmt.Errorf("cluster: standby requires a Rebind hook")
@@ -72,7 +74,7 @@ func NewStandby(ep transport.Endpoint, cfg StandbyConfig) (*Standby, error) {
 		cfg:     cfg,
 		obs:     cfg.MasterCfg.Obs.Master(),
 		replica: checkpoint.NewReplica(),
-		lease:   newLeaseMachine(cfg.LeaseTTL),
+		lease:   newLeaseMachine(cfg.MasterCfg.LeaseTTL),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}, nil
@@ -192,7 +194,7 @@ func (s *Standby) handleRenew(msg LeaseRenewMsg) {
 // watchdog polls the watched lease and fires the takeover when it lapses.
 func (s *Standby) watchdog() {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.LeaseTTL / 4)
+	tick := time.NewTicker(s.cfg.MasterCfg.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -250,6 +252,9 @@ func (s *Standby) promote() {
 	cfg := s.cfg.MasterCfg
 	cfg.StandbyName = "" // the promoted master runs without a standby
 	cfg.LeaseTTL = 0
+	if cfg.CheckpointDir == "" {
+		cfg.CheckpointEvery = 0 // periodic snapshots had only the stream to go to
+	}
 	if st.NumWorkers > cfg.NumWorkers {
 		// Membership records streamed before the failover grew the fleet
 		// past the configured size: the promoted master adopts the larger

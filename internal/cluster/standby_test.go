@@ -7,10 +7,10 @@ import (
 
 	"treeserver/internal/core"
 	"treeserver/internal/dataset"
-	"treeserver/internal/loadbal"
 	"treeserver/internal/obs"
 	"treeserver/internal/synth"
 	"treeserver/internal/task"
+	"treeserver/internal/transport"
 )
 
 // standbyConfig is the shared deployment for the hot-standby tests: diskless
@@ -24,7 +24,7 @@ func standbyConfig() Config {
 	cfg.TaskRetry = 250 * time.Millisecond
 	cfg.MaxTaskAttempts = 8
 	cfg.RejoinTimeout = 2 * time.Second
-	cfg.Observer = obs.NewRegistry()
+	cfg.Obs = obs.NewRegistry()
 	return cfg
 }
 
@@ -92,7 +92,7 @@ func TestStandbyFailoverDisklessBitIdentical(t *testing.T) {
 	// just the initial grant.
 	deadline := time.After(30 * time.Second)
 	for {
-		s := cfg.Observer.Snapshot().Master
+		s := cfg.Obs.Snapshot().Master
 		if c.Master.CompletedTrees() >= 2 && s.LeaseAcks >= 1 {
 			break
 		}
@@ -111,7 +111,7 @@ func TestStandbyFailoverDisklessBitIdentical(t *testing.T) {
 	got := awaitFailover(t, c)
 	assertBitIdentical(t, got, serialOracle(tbl, specs))
 
-	s := cfg.Observer.Snapshot().Master
+	s := cfg.Obs.Snapshot().Master
 	if s.Failovers != 1 {
 		t.Fatalf("failovers %d, want 1", s.Failovers)
 	}
@@ -227,13 +227,13 @@ func TestNoStandbyNoStreamTraffic(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{Name: "nostandby", Rows: 800, NumNumeric: 4,
 		NumClasses: 2, ConceptDepth: 3, Seed: 9})
 	cfg := testConfig()
-	cfg.Observer = obs.NewRegistry()
+	cfg.Obs = obs.NewRegistry()
 	c := newTestCluster(t, tbl, cfg)
 	defer c.Close()
 	if _, err := c.Train(recoverySpecs(tbl.NumRows(), 2)); err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	snap := cfg.Observer.Snapshot()
+	snap := cfg.Obs.Snapshot()
 	for _, msg := range snap.Messages {
 		switch msg.Type {
 		case "cluster.CkptRecordMsg", "cluster.LeaseGrantMsg", "cluster.LeaseRenewMsg",
@@ -248,7 +248,9 @@ func TestNoStandbyNoStreamTraffic(t *testing.T) {
 	}
 }
 
-// TestStandbyConfigValidation pins the option-surface errors.
+// TestStandbyConfigValidation pins the option surface: in-process, a lease
+// without WithStandby has no standby to watch it, and NewStandby fills the
+// master's default lease.
 func TestStandbyConfigValidation(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{Name: "sbv", Rows: 300, NumNumeric: 3,
 		NumClasses: 2, ConceptDepth: 2, Seed: 5})
@@ -256,12 +258,14 @@ func TestStandbyConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "LeaseTTL set without Standby") {
 		t.Fatalf("LeaseTTL without Standby: %v", err)
 	}
-	if _, err := NewInProcess(tbl, WithStandby(), func(c *Config) { c.LeaseTTL = -time.Second }); err == nil ||
-		!strings.Contains(err.Error(), "negative") {
-		t.Fatalf("negative LeaseTTL: %v", err)
+	sb, err := NewStandby(transport.NewMemNetwork().Endpoint(StandbyName), StandbyConfig{
+		MasterCfg: MasterConfig{NumWorkers: 1, StandbyName: StandbyName},
+		Rebind:    func() (transport.Endpoint, error) { return nil, nil },
+	})
+	if err != nil {
+		t.Fatalf("NewStandby: %v", err)
 	}
-	if _, err := NewMaster(nil, Schema{}, loadbal.Placement{}, MasterConfig{NumWorkers: 1, LeaseTTL: time.Second}); err == nil ||
-		!strings.Contains(err.Error(), "LeaseTTL set without StandbyName") {
-		t.Fatalf("MasterConfig LeaseTTL without StandbyName: %v", err)
+	if sb.cfg.MasterCfg.LeaseTTL != DefaultLeaseTTL {
+		t.Fatalf("standby lease = %v, want the default %v", sb.cfg.MasterCfg.LeaseTTL, DefaultLeaseTTL)
 	}
 }

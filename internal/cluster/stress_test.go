@@ -23,9 +23,12 @@ func TestManyTreesInterleaved(t *testing.T) {
 		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 95,
 	})
 	c := newTestCluster(t, tbl, Config{
-		Workers: 5, Compers: 3,
-		Policy:     task.Policy{TauD: 120, TauDFS: 700, NPool: 40},
-		JobTimeout: 3 * time.Minute,
+		MasterConfig: MasterConfig{
+			NumWorkers: 5,
+			Policy:     task.Policy{TauD: 120, TauDFS: 700, NPool: 40},
+			JobTimeout: 3 * time.Minute,
+		},
+		Compers: 3,
 	})
 	defer c.Close()
 
@@ -54,8 +57,11 @@ func TestRepeatedJobsLeaveNoResidue(t *testing.T) {
 		Name: "residue", Rows: 1200, NumNumeric: 4, NumClasses: 2, ConceptDepth: 3, Seed: 96,
 	})
 	c := newTestCluster(t, tbl, Config{
-		Workers: 3, Compers: 2,
-		Policy: task.Policy{TauD: 200, TauDFS: 600, NPool: 8},
+		MasterConfig: MasterConfig{
+			NumWorkers: 3,
+			Policy:     task.Policy{TauD: 200, TauDFS: 600, NPool: 8},
+		},
+		Compers: 2,
 	})
 	defer c.Close()
 	for round := 0; round < 10; round++ {

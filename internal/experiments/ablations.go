@@ -27,10 +27,7 @@ func AblationMasterRelay(s Scale) *Result {
 		if relay {
 			abl = cluster.AblationRelayRows
 		}
-		c := mustCluster(train, cluster.Config{
-			Workers: s.Workers, Compers: s.Compers,
-			Policy: policyFor(train.NumRows()), Ablation: abl,
-		})
+		c := s.treeServer(train, cluster.WithAblation(abl))
 		start := time.Now()
 		if _, err := c.Train(singleTreeSpec()); err != nil {
 			c.Close()
@@ -76,9 +73,7 @@ func AblationSchedPolicy(s Scale) *Result {
 		Header: Row{"policy", "time(s)", "CPU%"},
 	}
 	for _, m := range modes {
-		c := mustCluster(train, cluster.Config{
-			Workers: s.Workers, Compers: s.Compers, Policy: m.pol,
-		})
+		c := s.treeServer(train, cluster.WithPolicy(m.pol))
 		start := time.Now()
 		if _, err := c.Train(rfSpecs(train, trees, 37)); err != nil {
 			c.Close()
@@ -143,10 +138,7 @@ func AblationLoadBal(s Scale) *Result {
 		if rr {
 			mode = cluster.AblationRoundRobin
 		}
-		c := mustCluster(train, cluster.Config{
-			Workers: s.Workers, Compers: s.Compers,
-			Policy: policyFor(train.NumRows()), Ablation: mode,
-		})
+		c := s.treeServer(train, cluster.WithAblation(mode))
 		start := time.Now()
 		if _, err := c.Train(rfSpecs(train, trees, 41)); err != nil {
 			c.Close()

@@ -170,18 +170,15 @@ func (s Scale) mllibConfig(parallel bool) planet.Config {
 	return cfg
 }
 
-// treeServer spins an in-process cluster for a table.
-func (s Scale) treeServer(tbl *dataset.Table) *cluster.Cluster {
-	return mustCluster(tbl, cluster.Config{
-		Workers: s.Workers, Compers: s.Compers,
-		Policy: policyFor(tbl.NumRows()),
-	})
-}
-
-// mustCluster builds a cluster from a programmatic Config. Experiment sweeps
-// construct configurations from validated scales, so an error here is a bug.
-func mustCluster(tbl *dataset.Table, cfg cluster.Config) *cluster.Cluster {
-	c, err := cluster.NewInProcess(tbl, cluster.WithConfig(cfg))
+// treeServer spins an in-process cluster for a table at this scale; opts
+// override the scale's settings. Experiment sweeps construct configurations
+// from validated scales, so an error here is a bug.
+func (s Scale) treeServer(tbl *dataset.Table, opts ...cluster.Option) *cluster.Cluster {
+	opts = append([]cluster.Option{
+		cluster.WithWorkers(s.Workers), cluster.WithCompers(s.Compers),
+		cluster.WithPolicy(policyFor(tbl.NumRows())),
+	}, opts...)
+	c, err := cluster.NewInProcess(tbl, opts...)
 	if err != nil {
 		panic(err)
 	}

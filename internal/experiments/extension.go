@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"treeserver/internal/cluster"
 	"treeserver/internal/gbt"
 	"treeserver/internal/synth"
 )
@@ -29,9 +28,7 @@ func ExtensionGBT(s Scale) *Result {
 	for _, n := range rounds {
 		cfg := gbt.Config{Rounds: n, MaxDepth: 4, LearningRate: 0.3}
 
-		c := mustCluster(train, cluster.Config{
-			Workers: s.Workers, Compers: s.Compers, Policy: policyFor(train.NumRows()),
-		})
+		c := s.treeServer(train)
 		start := time.Now()
 		distModel, err := gbt.Train(c, train, cfg)
 		if err != nil {

@@ -28,9 +28,7 @@ func table3Datasets(s Scale) []synth.PaperSpec {
 // policy and reports wall time + peak heap.
 func trainWithPolicy(s Scale, ps synth.PaperSpec, pol task.Policy, trees int) (secs, memMB float64) {
 	train, _ := generate(ps)
-	c := mustCluster(train, cluster.Config{
-		Workers: s.Workers, Compers: s.Compers, Policy: pol,
-	})
+	c := s.treeServer(train, cluster.WithPolicy(pol))
 	defer c.Close()
 	specs := rfSpecs(train, trees, 13)
 	elapsed, peak := peakHeapDuring(func() {

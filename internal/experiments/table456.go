@@ -154,9 +154,7 @@ func TableVI(s Scale) *Result {
 	for _, ps := range specs {
 		train, test := generate(ps)
 		for _, m := range machines {
-			c := mustCluster(train, cluster.Config{
-				Workers: m, Compers: s.Compers, Policy: policyFor(train.NumRows()),
-			})
+			c := s.treeServer(train, cluster.WithWorkers(m))
 			start := time.Now()
 			if _, err := c.Train(rfSpecs(train, trees, 23)); err != nil {
 				c.Close()

@@ -219,14 +219,6 @@ func (h *Hist) Sub(parent, sibling *Hist) {
 	h.Missing = parent.Missing - sibling.Missing
 }
 
-// Merge adds other's statistics into h. Shapes must match.
-func (h *Hist) Merge(other *Hist) {
-	for i := range h.W {
-		h.W[i] += other.W[i]
-	}
-	h.Missing += other.Missing
-}
-
 // Total returns the number of non-missing observations aggregated.
 func (h *Hist) Total() int {
 	n := 0
@@ -242,7 +234,7 @@ func (h *Hist) Total() int {
 	return n
 }
 
-// BestFromHist scans a (merged) histogram for the best split under the bins.
+// BestFromHist scans a histogram for the best split under the bins.
 // Numeric columns sweep the stored thresholds with incremental accumulators;
 // categorical columns reconstruct exact per-level statistics and reuse the
 // exact kernels, so categorical hist candidates match FindBest bit-for-bit

@@ -213,34 +213,6 @@ func TestHistSubtractionBitwise(t *testing.T) {
 	}
 }
 
-// TestHistMergeEqualsSingle: merging shard histograms equals one histogram
-// over the concatenated rows (classification counts are exact integers).
-func TestHistMergeEqualsSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	n := 400
-	col := randNumericCol(rng, n, true)
-	y := randTarget(rng, n, true, 3)
-	bins := BinsFromSketch(0, histSketchFor(col, 16), 16)
-	bc := BinColumn(col, bins)
-
-	all := fillHistFor(bc, y, dataset.AllRows(n), 3)
-	merged := GetHist(bins.NumBins, 3)
-	for shard := 0; shard < 4; shard++ {
-		var rows []int32
-		for r := shard; r < n; r += 4 {
-			rows = append(rows, int32(r))
-		}
-		part := fillHistFor(bc, y, rows, 3)
-		merged.Merge(part)
-		PutHist(part)
-	}
-	if merged.Missing != all.Missing || !slices.Equal(merged.W, all.W) {
-		t.Fatal("merged shard histograms differ from single fill")
-	}
-	PutHist(all)
-	PutHist(merged)
-}
-
 // TestHistKernelZeroAlloc: the pooled fill+sweep hot path must not allocate
 // once scratch, pool, and binned column are warm — numeric conditions carry
 // no slices, so the whole per-(node, column) kernel is allocation-free.
