@@ -64,7 +64,7 @@ elastic:
 # all under the race detector, plus the legacy-vs-compiled serving A/B.
 serve:
 	$(GO) test -race ./internal/infer/ ./internal/registry/ ./internal/serve/
-	$(GO) run ./cmd/benchtab -quick -serve-json BENCH_serve.json
+	$(GO) run ./cmd/benchtab -quick -ab serve -json BENCH_serve.json
 
 # Serving resilience suite: overload shedding, request deadlines, canary
 # promote/rollback, slow-loris and shutdown-under-load chaos cells, plus the
@@ -73,7 +73,7 @@ resilience:
 	$(GO) test -race ./internal/serve/ -run 'TestOverload|TestLimiter|TestRequestDeadline|TestClientDisconnect|TestBodyTooLarge|TestStage|TestCanary|TestReadyz|TestSlowLoris|TestShutdown'
 	$(GO) test -race ./internal/registry/ -run 'TestStage|TestRoute|TestCanary|TestActivateAndRollbackCancelCanary|TestRollbackEmptyHistory|TestActivateUnknownSeq|TestWatch'
 	$(GO) test -race ./internal/infer/ -run 'TestDecodeRequestCtx|TestPredictCtx'
-	$(GO) run ./cmd/benchtab -quick -serve-json BENCH_serve.json
+	$(GO) run ./cmd/benchtab -quick -ab serve -json BENCH_serve.json
 
 cover:
 	$(GO) test -cover ./internal/...

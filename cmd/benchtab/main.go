@@ -1,6 +1,6 @@
 // Command benchtab regenerates the paper's evaluation tables (Tables
 // II–VIII) and the DESIGN.md ablation benches on laptop-scale synthetic
-// workloads.
+// workloads, and runs the repo's A/B suites.
 //
 // Usage:
 //
@@ -9,20 +9,22 @@
 //	benchtab -quick               # shrunken smoke run
 //	benchtab -rows 50000 -workers 8 -compers 4
 //	benchtab -ablations           # run only the design ablations
-//	benchtab -json BENCH_splits.json   # also write machine-readable results
-//	benchtab -obs-json BENCH_obs.json  # telemetry on/off overhead A/B
+//	benchtab -ab split,obs -json BENCH_ab.json   # A/B suites, machine-readable
+//
+// The A/B suites (split, obs, ckpt, hedge, hist, failover, serve) each
+// warm every arm up once, then alternate the arms in one process for a fixed
+// number of repetitions and record samples, median and interquartile range
+// per arm and metric, plus the ratio of each interleaved pair. -json writes
+// every record of the run under one host fingerprint.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
-	"testing"
 	"time"
 
 	"treeserver/internal/cluster"
@@ -37,30 +39,32 @@ import (
 	"treeserver/internal/transport"
 )
 
-// splitBenchResult is one microbenchmark row of the split-kernel suite.
-type splitBenchResult struct {
-	Name        string  `json:"name"`
-	Rows        int     `json:"rows"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+// reps returns how many interleaved repetitions each A/B case runs.
+func reps(quick bool) int {
+	if quick {
+		return 3
+	}
+	return 7
 }
 
-// benchOutput is the schema of the -json file: the experiment tables that
-// ran plus the FindBest kernel microbenchmarks, for CI trend tracking.
-type benchOutput struct {
-	GeneratedAt string                `json:"generated_at"`
-	GoVersion   string                `json:"go_version"`
-	Scale       experiments.Scale     `json:"scale"`
-	Experiments []*experiments.Result `json:"experiments"`
-	SplitBench  []splitBenchResult    `json:"split_bench"`
+// suites maps each -ab name to the function that runs it, in the order
+// -list prints them.
+var suites = []struct {
+	name string
+	run  func(r *runner, quick bool)
+}{
+	{"split", splitSuite},
+	{"obs", obsSuite},
+	{"ckpt", ckptSuite},
+	{"hedge", hedgeSuite},
+	{"hist", histSuite},
+	{"failover", failoverSuite},
+	{"serve", serveSuite},
 }
 
-// runSplitBench measures the exact numeric splitter's presorted fast path
-// and sort+sweep fallback on one dense node, mirroring the package
-// benchmarks in internal/split.
-func runSplitBench(n int) []splitBenchResult {
+// kernelRequest builds a dense two-class FindBest request over n rows, with
+// the presorted fast path enabled.
+func kernelRequest(n int) split.Request {
 	rng := rand.New(rand.NewSource(1))
 	num := make([]float64, n)
 	ycls := make([]int32, n)
@@ -70,397 +74,206 @@ func runSplitBench(n int) []splitBenchResult {
 			ycls[i] = 1
 		}
 	}
-	col := dataset.NewNumeric("x", num)
-	y := dataset.NewCategorical("y", ycls, []string{"n", "p"})
 	rows := dataset.AllRows(n)
-	scratch := split.GetScratch()
-	defer split.PutScratch(scratch)
-
-	fast := split.Request{Col: col, Y: y, Rows: rows, Measure: impurity.Gini,
-		NumClasses: 2, RowSet: dataset.RowSetOf(rows, n), Scratch: scratch}
-	fallback := fast
-	fallback.RowSet = nil
-
-	out := make([]splitBenchResult, 0, 2)
-	for _, c := range []struct {
-		name string
-		req  split.Request
-	}{{"FindBestNumeric/presorted", fast}, {"FindBestNumeric/fallback", fallback}} {
-		req := c.req
-		split.FindBest(req) // warm up: sort index + scratch growth
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				split.FindBest(req)
-			}
-		})
-		out = append(out, splitBenchResult{
-			Name:        c.name,
-			Rows:        n,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out
+	return split.Request{Col: dataset.NewNumeric("x", num),
+		Y:    dataset.NewCategorical("y", ycls, []string{"n", "p"}),
+		Rows: rows, Measure: impurity.Gini, NumClasses: 2,
+		RowSet: dataset.RowSetOf(rows, n), Scratch: split.GetScratch()}
 }
 
-// obsOverheadResult is one telemetry A/B measurement: the same workload with
-// the registry absent (the production default) and attached.
-type obsOverheadResult struct {
-	Name        string  `json:"name"`
-	BaselineNs  float64 `json:"baseline_ns_per_op"`
-	TelemetryNs float64 `json:"telemetry_ns_per_op"`
-	Ratio       float64 `json:"ratio"` // telemetry / baseline; ~1.0 means within noise
-}
-
-// obsBenchOutput is the schema of the -obs-json file.
-type obsBenchOutput struct {
-	GeneratedAt string              `json:"generated_at"`
-	GoVersion   string              `json:"go_version"`
-	Quick       bool                `json:"quick"`
-	Results     []obsOverheadResult `json:"results"`
-}
-
-// runObsOverhead A/Bs the two hot paths the registry instruments: the dense
-// FindBest kernel (nil vs live SplitCounters — the ISSUE's <=2% budget) and
-// a short distributed forest job (nil vs live Observer).
-func runObsOverhead(quick bool) []obsOverheadResult {
-	kernelRows, trainRows, trees := 100000, 12000, 8
-	if quick {
-		kernelRows, trainRows, trees = 20000, 4000, 4
-	}
-	var out []obsOverheadResult
-
-	// Kernel A/B. The live counters come from a real registry so the bench
-	// exercises the same pointer chain the worker does.
-	rng := rand.New(rand.NewSource(1))
-	num := make([]float64, kernelRows)
-	ycls := make([]int32, kernelRows)
-	for i := range num {
-		num[i] = rng.NormFloat64()
-		if num[i]+rng.NormFloat64()*0.3 > 0 {
-			ycls[i] = 1
-		}
-	}
-	col := dataset.NewNumeric("x", num)
-	y := dataset.NewCategorical("y", ycls, []string{"n", "p"})
-	rows := dataset.AllRows(kernelRows)
-	scratch := split.GetScratch()
-	defer split.PutScratch(scratch)
-	req := split.Request{Col: col, Y: y, Rows: rows, Measure: impurity.Gini,
-		NumClasses: 2, RowSet: dataset.RowSetOf(rows, kernelRows), Scratch: scratch}
-	benchKernel := func(counters *obs.SplitCounters) float64 {
-		r := req
-		r.Counters = counters
-		split.FindBest(r) // warm up
-		b := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				split.FindBest(r)
-			}
-		})
-		return float64(b.T.Nanoseconds()) / float64(b.N)
-	}
-	base := benchKernel(nil)
-	live := benchKernel(obs.NewRegistry().Split())
-	out = append(out, obsOverheadResult{
-		Name: "FindBestNumeric/presorted", BaselineNs: base, TelemetryNs: live, Ratio: live / base,
-	})
-
-	// Forest-job A/B: same specs, fresh cluster per run so transport and
-	// scheduling state cannot leak between arms.
-	tbl := synth.GenerateTrain(synth.Spec{
-		Name: "obsbench", Rows: trainRows, NumNumeric: 6, NumCategorical: 2,
-		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 51,
-	})
-	params := core.Defaults()
-	params.MaxDepth = 8
-	specs := make([]cluster.TreeSpec, trees)
-	for i := range specs {
-		specs[i] = cluster.TreeSpec{Params: params}
-	}
-	trainOnce := func(reg *obs.Registry) float64 {
-		c, err := cluster.NewInProcess(tbl,
-			cluster.WithWorkers(3), cluster.WithCompers(2),
-			cluster.WithPolicy(task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 16}),
-			cluster.WithObserver(reg),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		start := time.Now()
-		if _, err := c.Train(specs); err != nil {
-			log.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
-	}
-	trainOnce(nil) // warm up: page in the table, JIT the scratch pools
-	baseTrain := trainOnce(nil)
-	liveTrain := trainOnce(obs.NewRegistry())
-	out = append(out, obsOverheadResult{
-		Name: "cluster.Train/forest", BaselineNs: baseTrain, TelemetryNs: liveTrain, Ratio: liveTrain / baseTrain,
-	})
-	return out
-}
-
-func writeObsBench(path string, quick bool) {
-	results := runObsOverhead(quick)
-	for _, r := range results {
-		fmt.Printf("%-28s baseline %.0fns  telemetry %.0fns  ratio %.3f\n",
-			r.Name, r.BaselineNs, r.TelemetryNs, r.Ratio)
-	}
-	data, err := json.MarshalIndent(obsBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Results:     results,
-	}, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal obs bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// ckptOverheadResult is the checkpointing A/B: the same forest job with
-// durable master checkpointing off (the default) and on.
-type ckptOverheadResult struct {
-	Name            string  `json:"name"`
-	BaselineNs      float64 `json:"baseline_ns_per_op"`
-	CheckpointNs    float64 `json:"checkpoint_ns_per_op"`
-	Ratio           float64 `json:"ratio"` // checkpoint / baseline
-	Snapshots       int64   `json:"snapshots"`
-	Records         int64   `json:"records"`
-	CheckpointBytes int64   `json:"checkpoint_bytes"`
-}
-
-// ckptBenchOutput is the schema of the -ckpt-json file.
-type ckptBenchOutput struct {
-	GeneratedAt string               `json:"generated_at"`
-	GoVersion   string               `json:"go_version"`
-	Quick       bool                 `json:"quick"`
-	Results     []ckptOverheadResult `json:"results"`
-}
-
-// runCkptOverhead measures what durable checkpointing costs a forest job:
-// one fsynced snapshot at job start and end plus an fsynced append per
-// completed tree. The checkpointed arm reports its write telemetry so the
-// JSON records how much durability work the ratio paid for.
-func runCkptOverhead(quick bool) []ckptOverheadResult {
-	trainRows, trees := 12000, 8
-	if quick {
-		trainRows, trees = 4000, 4
-	}
-	tbl := synth.GenerateTrain(synth.Spec{
-		Name: "ckptbench", Rows: trainRows, NumNumeric: 6, NumCategorical: 2,
-		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 52,
-	})
-	params := core.Defaults()
-	params.MaxDepth = 8
-	specs := make([]cluster.TreeSpec, trees)
-	for i := range specs {
-		specs[i] = cluster.TreeSpec{Params: params,
-			Bag: cluster.BagSpec{NumRows: trainRows, Sample: trainRows, Seed: int64(i)}}
-	}
-	trainOnce := func(dir string, reg *obs.Registry) float64 {
-		opts := []cluster.Option{
-			cluster.WithWorkers(3), cluster.WithCompers(2),
-			cluster.WithPolicy(task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 16}),
-			cluster.WithObserver(reg),
-		}
-		if dir != "" {
-			opts = append(opts, cluster.WithCheckpoint(dir, 0))
-		}
-		c, err := cluster.NewInProcess(tbl, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		start := time.Now()
-		if _, err := c.Train(specs); err != nil {
-			log.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
-	}
-	trainOnce("", nil) // warm up
-	base := trainOnce("", nil)
-	dir, err := os.MkdirTemp("", "benchtab-ckpt-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	reg := obs.NewRegistry()
-	ck := trainOnce(dir, reg)
-	m := reg.Snapshot().Master
-	return []ckptOverheadResult{{
-		Name: "cluster.Train/forest", BaselineNs: base, CheckpointNs: ck, Ratio: ck / base,
-		Snapshots: m.CheckpointSnapshots, Records: m.CheckpointRecords, CheckpointBytes: m.CheckpointBytes,
+// kernelArm times calls FindBest(req) calls per repetition.
+func kernelArm(name string, req split.Request, calls int) arm {
+	return arm{name, func() []float64 {
+		ns, allocs := callLoop(calls, func() { split.FindBest(req) })
+		return []float64{mean(ns), allocs}
 	}}
 }
 
-func writeCkptBench(path string, quick bool) {
-	results := runCkptOverhead(quick)
-	for _, r := range results {
-		fmt.Printf("%-24s baseline %.0fns  checkpointed %.0fns  ratio %.3f  (%d snapshots, %d records, %d bytes)\n",
-			r.Name, r.BaselineNs, r.CheckpointNs, r.Ratio, r.Snapshots, r.Records, r.CheckpointBytes)
-	}
-	data, err := json.MarshalIndent(ckptBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Results:     results,
-	}, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal ckpt bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
+var kernelMetrics = []metric{{"ns_per_op", "ns"}, {"allocs_per_op", "count"}}
 
-// hedgeOverheadResult is the gray-failure A/B: the same forest job through a
-// chaos fabric with one degraded (but alive) worker, hedging off vs on.
-type hedgeOverheadResult struct {
-	Name           string  `json:"name"`
-	NoHedgeNs      float64 `json:"no_hedge_ns_per_op"`
-	HedgedNs       float64 `json:"hedged_ns_per_op"`
-	Ratio          float64 `json:"ratio"` // hedged / no-hedge; < 1.0 means hedging paid off
-	HedgesLaunched int64   `json:"hedges_launched"`
-	HedgesWon      int64   `json:"hedges_won"`
-	HedgesWasted   int64   `json:"hedges_wasted"`
-}
-
-// hedgeBenchOutput is the schema of the -hedge-json file.
-type hedgeBenchOutput struct {
-	GeneratedAt string                `json:"generated_at"`
-	GoVersion   string                `json:"go_version"`
-	Quick       bool                  `json:"quick"`
-	Results     []hedgeOverheadResult `json:"results"`
-}
-
-// runHedgeOverhead trains the same forest twice over a chaos fabric where one
-// worker turns ~50× slow shortly into the job and never recovers: once with
-// hedging off (per-attempt deadlines are the only countermeasure) and once
-// with hedging on. Both arms see the identical fault schedule (same chaos
-// seed and plan), so the ratio isolates what hedged execution buys.
-func runHedgeOverhead(quick bool) []hedgeOverheadResult {
-	trainRows, trees := 12000, 6
+// splitSuite A/Bs the exact numeric splitter's sort+sweep fallback against
+// its presorted fast path on one dense node, mirroring the package
+// benchmarks in internal/split.
+func splitSuite(r *runner, quick bool) {
+	rows, calls := 10000, 200
 	if quick {
-		trainRows, trees = 4000, 4
+		rows, calls = 2000, 100
+	}
+	fast := kernelRequest(rows)
+	defer split.PutScratch(fast.Scratch)
+	fallback := fast
+	fallback.RowSet = nil
+	r.run("split", abCase{name: "FindBestNumeric", metrics: kernelMetrics, ratio: "speedup",
+		arms: []arm{kernelArm("fallback", fallback, calls), kernelArm("presorted", fast, calls)}})
+}
+
+// trainCase is one training workload: every arm trains the same specs on
+// the same table, on a fresh cluster built from the shared options plus the
+// arm's own, so an A/B pair differs only in the feature under test.
+type trainCase struct {
+	tbl   *dataset.Table
+	specs []cluster.TreeSpec
+	opts  []cluster.Option
+}
+
+// forestCase is the bagged forest job of the obs, ckpt, failover and hedge
+// suites: 6 numeric and 2 categorical columns, depth-8 trees, trained on 3
+// workers × 2 compers.
+func forestCase(quick bool, seed int64) trainCase {
+	rows, trees := 12000, 8
+	if quick {
+		rows, trees = 4000, 4
 	}
 	tbl := synth.GenerateTrain(synth.Spec{
-		Name: "hedgebench", Rows: trainRows, NumNumeric: 6, NumCategorical: 2,
-		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 53,
+		Name: "abforest", Rows: rows, NumNumeric: 6, NumCategorical: 2,
+		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: seed,
 	})
 	params := core.Defaults()
 	params.MaxDepth = 8
 	specs := make([]cluster.TreeSpec, trees)
 	for i := range specs {
 		specs[i] = cluster.TreeSpec{Params: params,
-			Bag: cluster.BagSpec{NumRows: trainRows, Sample: trainRows, Seed: int64(i)}}
+			Bag: cluster.BagSpec{NumRows: rows, Sample: rows, Seed: int64(i)}}
 	}
+	return trainCase{tbl: tbl, specs: specs, opts: []cluster.Option{
+		cluster.WithWorkers(3), cluster.WithCompers(2),
+		cluster.WithPolicy(task.Policy{TauD: rows / 10, TauDFS: rows / 2, NPool: 16})}}
+}
+
+// train runs the job once and returns the trees, Train's wall time and the
+// bytes every machine sent.
+func (j trainCase) train(extra ...cluster.Option) ([]*core.Tree, time.Duration, int64) {
+	opts := append(append([]cluster.Option(nil), j.opts...), extra...)
+	c, err := cluster.NewInProcess(j.tbl, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	trees, err := c.Train(j.specs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wall := time.Since(start)
+	m := c.MetricsSince(start)
+	return trees, wall, m.WorkerSentBytes + m.MasterSentBytes
+}
+
+// wallMs is the run of a training arm: Train's wall time in ms.
+func (j trainCase) wallMs(extra ...cluster.Option) []float64 {
+	_, wall, _ := j.train(extra...)
+	return []float64{float64(wall) / 1e6}
+}
+
+// counters trains once more, untimed, with a fresh registry attached, and
+// returns what it counted. Count records come from here, so no timed arm
+// carries telemetry its partner lacks.
+func (j trainCase) counters(extra ...cluster.Option) obs.Snapshot {
+	reg := obs.NewRegistry()
+	j.train(append(extra, cluster.WithObserver(reg))...)
+	return reg.Snapshot()
+}
+
+var wallMetric = []metric{{"wall_ms", "ms"}}
+
+// obsSuite A/Bs the two hot paths the telemetry registry instruments: the
+// dense FindBest kernel (nil vs live SplitCounters) and a forest job (nil
+// vs live Observer).
+func obsSuite(r *runner, quick bool) {
+	const calls = 40
+	kernelRows := 100000
+	if quick {
+		kernelRows = 20000
+	}
+	req := kernelRequest(kernelRows)
+	defer split.PutScratch(req.Scratch)
+	live := req
+	// The live counters come from a real registry so the bench exercises
+	// the same pointer chain the worker does.
+	live.Counters = obs.NewRegistry().Split()
+	r.run("obs", abCase{name: "FindBestNumeric", metrics: kernelMetrics, ratio: "overhead",
+		arms: []arm{kernelArm("off", req, calls), kernelArm("on", live, calls)}})
+
+	j := forestCase(quick, 51)
+	r.run("obs", abCase{name: "cluster.Train/forest", metrics: wallMetric, ratio: "overhead", arms: []arm{
+		{"off", func() []float64 { return j.wallMs() }},
+		{"on", func() []float64 { return j.wallMs(cluster.WithObserver(obs.NewRegistry())) }},
+	}})
+}
+
+// ckptSuite measures what durable checkpointing costs a forest job: one
+// fsynced snapshot at job start and end plus an fsynced append per
+// completed tree. Each checkpointed run writes into a fresh directory.
+func ckptSuite(r *runner, quick bool) {
+	j := forestCase(quick, 52)
+	withDir := func(f func(dir string)) {
+		dir, err := os.MkdirTemp("", "benchtab-ckpt-*")
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		f(dir)
+	}
+	const c = "cluster.Train/forest"
+	r.run("ckpt", abCase{name: c, metrics: wallMetric, ratio: "overhead", arms: []arm{
+		{"off", func() []float64 { return j.wallMs() }},
+		{"on", func() (v []float64) {
+			withDir(func(dir string) { v = j.wallMs(cluster.WithCheckpoint(dir, 0)) })
+			return v
+		}},
+	}})
+	withDir(func(dir string) {
+		m := j.counters(cluster.WithCheckpoint(dir, 0)).Master
+		r.count("ckpt", c, "on", "snapshots", float64(m.CheckpointSnapshots))
+		r.count("ckpt", c, "on", "records", float64(m.CheckpointRecords))
+		r.count("ckpt", c, "on", "checkpoint_bytes", float64(m.CheckpointBytes))
+	})
+}
+
+// hedgeSuite trains the same forest over a chaos fabric where one worker
+// turns ~50× slow shortly into the job and never recovers, with hedging off
+// (per-attempt deadlines are the only countermeasure) and on. Every run
+// gets a fresh fabric with the same chaos seed and plan, so both arms see
+// the identical fault schedule. It trains half the forest's trees: the
+// degraded worker's delays, not the tree count, set the job's wall time.
+func hedgeSuite(r *runner, quick bool) {
+	j := forestCase(quick, 53)
+	j.specs = j.specs[:len(j.specs)/2]
+	rows := j.tbl.NumRows()
+	j.opts = []cluster.Option{
+		cluster.WithWorkers(5), cluster.WithCompers(2), cluster.WithReplicas(2),
+		cluster.WithPolicy(task.Policy{TauD: rows / 10, TauDFS: rows / 2, NPool: 8}),
+		// Generous deadline so per-attempt re-execution stays out of the
+		// way and the A/B isolates hedging as the countermeasure.
+		cluster.WithTaskRetry(2400*time.Millisecond, 8)}
 	plan := transport.FaultPlan{
 		Name:  "hedge-bench",
 		Links: []transport.LinkFault{{From: "*", To: "*", Delay: 100 * time.Microsecond, Jitter: 100 * time.Microsecond}},
 		Degrades: []transport.Degrade{{Name: cluster.WorkerName(1), Factor: 50,
 			Delay: 2 * time.Millisecond, Jitter: 500 * time.Microsecond, AfterSends: 30}},
 	}
-	trainOnce := func(hedge float64, reg *obs.Registry) float64 {
-		chaos := transport.NewChaosNetwork(7, plan)
-		c, err := cluster.NewInProcess(tbl,
-			cluster.WithWorkers(5), cluster.WithCompers(2), cluster.WithReplicas(2),
-			cluster.WithPolicy(task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 8}),
-			// Generous deadline so per-attempt re-execution stays out of the
-			// way and the A/B isolates hedging as the countermeasure.
-			cluster.WithTaskRetry(2400*time.Millisecond, 8),
-			cluster.WithHedgeFactor(hedge),
-			cluster.WithEndpointWrapper(chaos.Wrap),
-			cluster.WithObserver(reg))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		start := time.Now()
-		if _, err := c.Train(specs); err != nil {
-			log.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
+	chaos := func() cluster.Option {
+		return cluster.WithEndpointWrapper(transport.NewChaosNetwork(7, plan).Wrap)
 	}
-	trainOnce(0, nil) // warm up: page in the table, grow the scratch pools
-	noHedge := trainOnce(0, obs.NewRegistry())
-	reg := obs.NewRegistry()
-	hedged := trainOnce(8, reg)
-	m := reg.Snapshot().Master
-	return []hedgeOverheadResult{{
-		Name: "cluster.Train/degraded-worker", NoHedgeNs: noHedge, HedgedNs: hedged, Ratio: hedged / noHedge,
-		HedgesLaunched: m.HedgesLaunched, HedgesWon: m.HedgesWon, HedgesWasted: m.HedgesWasted,
-	}}
+	const c = "cluster.Train/degraded-worker"
+	r.run("hedge", abCase{name: c, metrics: wallMetric, ratio: "overhead", arms: []arm{
+		{"off", func() []float64 { return j.wallMs(chaos()) }},
+		{"on", func() []float64 { return j.wallMs(chaos(), cluster.WithHedgeFactor(8)) }},
+	}})
+	m := j.counters(chaos(), cluster.WithHedgeFactor(8)).Master
+	r.count("hedge", c, "on", "hedges_launched", float64(m.HedgesLaunched))
+	r.count("hedge", c, "on", "hedges_won", float64(m.HedgesWon))
+	r.count("hedge", c, "on", "hedges_wasted", float64(m.HedgesWasted))
 }
 
-func writeHedgeBench(path string, quick bool) {
-	results := runHedgeOverhead(quick)
-	for _, r := range results {
-		fmt.Printf("%-30s no-hedge %.0fns  hedged %.0fns  ratio %.3f  (%d launched, %d won, %d wasted)\n",
-			r.Name, r.NoHedgeNs, r.HedgedNs, r.Ratio, r.HedgesLaunched, r.HedgesWon, r.HedgesWasted)
-	}
-	data, err := json.MarshalIndent(hedgeBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Results:     results,
-	}, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal hedge bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// histABResult is one row of the exact-vs-hist A/B: the same wide/deep
-// training job under both split modes, at one MaxBins setting.
-type histABResult struct {
-	Name             string  `json:"name"`
-	MaxBins          int     `json:"max_bins"`
-	ExactNs          float64 `json:"exact_ns"`
-	HistNs           float64 `json:"hist_ns"`
-	Speedup          float64 `json:"speedup"` // exact / hist wall clock; > 1 means hist is faster
-	ExactLinkBytes   int64   `json:"exact_link_bytes"`
-	HistLinkBytes    int64   `json:"hist_link_bytes"`
-	ByteReduction    float64 `json:"byte_reduction"` // exact / hist link bytes; > 1 means hist ships less
-	ExactAccuracy    float64 `json:"exact_accuracy"`
-	HistAccuracy     float64 `json:"hist_accuracy"`
-	AccuracyDelta    float64 `json:"accuracy_delta"` // exact - hist on held-out rows
-	BinRounds        int64   `json:"bin_rounds"`
-	HistSubtractions int64   `json:"hist_subtractions"`
-}
-
-// histBenchOutput is the schema of the -hist-json file.
-type histBenchOutput struct {
-	GeneratedAt string         `json:"generated_at"`
-	GoVersion   string         `json:"go_version"`
-	Quick       bool           `json:"quick"`
-	Results     []histABResult `json:"results"`
-}
-
-// runHistAB trains the same wide/deep classification job once under the exact
-// protocol and once per MaxBins setting under hist mode, on identical
-// clusters. Wall clock, total link bytes (worker + master outbound) and
-// held-out accuracy quantify what sketch-binned histograms trade away; the
-// obs counters show how the hist arm got there. The job runs with TauD = 1 so
-// every split goes through the column-task protocol — the regime the hist
-// mode exists for; subtree handoff (large TauD) short-circuits both arms into
-// the identical serial trainer and measures nothing.
-func runHistAB(quick bool) []histABResult {
+// histSuite trains the same wide/deep classification job under the exact
+// protocol and under hist mode at 32, 64 and 256 bins, on identical
+// clusters. Wall clock, link bytes and held-out accuracy show what
+// sketch-binned histograms trade away. The job runs with TauD = 1 so every
+// split goes through the column-task protocol, the regime hist mode exists
+// for; subtree handoff (large TauD) short-circuits both modes into the
+// identical serial trainer and measures nothing.
+func histSuite(r *runner, quick bool) {
 	trainRows, maxDepth := 32000, 12
 	if quick {
 		trainRows, maxDepth = 8000, 9
@@ -471,240 +284,125 @@ func runHistAB(quick bool) []histABResult {
 	}, 0.2)
 	params := core.Defaults()
 	params.MaxDepth = maxDepth
-	specs := []cluster.TreeSpec{{Params: params}, {Params: core.Params{
-		MaxDepth: params.MaxDepth, MinLeaf: params.MinLeaf, Measure: params.Measure, Seed: 1}}}
-
+	n := train.NumRows()
+	j := trainCase{tbl: train,
+		specs: []cluster.TreeSpec{{Params: params}, {Params: core.Params{
+			MaxDepth: params.MaxDepth, MinLeaf: params.MinLeaf, Measure: params.Measure, Seed: 1}}},
+		opts: []cluster.Option{cluster.WithWorkers(4), cluster.WithCompers(2),
+			cluster.WithPolicy(task.Policy{TauD: 1, TauDFS: n / 2, NPool: 8})}}
 	accuracy := func(tr *core.Tree) float64 {
 		hits := 0
-		for r := 0; r < test.NumRows(); r++ {
-			if tr.PredictClass(test, r, 0) == test.Y().Cats[r] {
+		for row := 0; row < test.NumRows(); row++ {
+			if tr.PredictClass(test, row, 0) == test.Y().Cats[row] {
 				hits++
 			}
 		}
 		return float64(hits) / float64(test.NumRows())
 	}
-	n := train.NumRows()
-	trainOnce := func(mode cluster.SplitMode, maxBins int, reg *obs.Registry) (float64, int64, float64) {
-		opts := []cluster.Option{
-			cluster.WithWorkers(4), cluster.WithCompers(2),
-			cluster.WithPolicy(task.Policy{TauD: 1, TauDFS: n / 2, NPool: 8}),
-			cluster.WithObserver(reg), cluster.WithSplitMode(mode),
-		}
-		if maxBins > 0 {
-			opts = append(opts, cluster.WithMaxBins(maxBins))
-		}
-		c, err := cluster.NewInProcess(train, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		start := time.Now()
-		trained, err := c.Train(specs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := c.MetricsSince(start)
-		return float64(time.Since(start).Nanoseconds()), m.WorkerSentBytes + m.MasterSentBytes, accuracy(trained[0])
+	modeArm := func(name string, opts ...cluster.Option) arm {
+		return arm{name, func() []float64 {
+			trees, wall, linkBytes := j.train(opts...)
+			return []float64{float64(wall) / 1e6, float64(linkBytes), accuracy(trees[0])}
+		}}
 	}
-
-	trainOnce(cluster.SplitExact, 0, nil) // warm up: page in the table, grow the pools
-	// Both arms carry a live registry so per-message telemetry sizing costs
-	// them equally.
-	exactNs, exactBytes, exactAcc := trainOnce(cluster.SplitExact, 0, obs.NewRegistry())
-
 	// The bin sweep spans the tradeoff: at 32 bins the per-node work is far
 	// below the exact sort-and-sweep; by 256 bins the deep frontier's nodes
 	// hold fewer rows than the histogram holds bins, and clearing + scanning
-	// those slots costs more than exact splitting — the regime where exact
-	// still wins.
-	var out []histABResult
-	for _, maxBins := range []int{32, 64, 256} {
-		reg := obs.NewRegistry()
-		histNs, histBytes, histAcc := trainOnce(cluster.SplitHist, maxBins, reg)
-		m := reg.Snapshot()
-		out = append(out, histABResult{
-			Name: "cluster.Train/wide-deep", MaxBins: maxBins,
-			ExactNs: exactNs, HistNs: histNs, Speedup: exactNs / histNs,
-			ExactLinkBytes: exactBytes, HistLinkBytes: histBytes,
-			ByteReduction: float64(exactBytes) / float64(histBytes),
-			ExactAccuracy: exactAcc, HistAccuracy: histAcc, AccuracyDelta: exactAcc - histAcc,
-			BinRounds: m.Master.BinRounds, HistSubtractions: m.Split.HistSubtractions,
-		})
+	// those slots costs more than exact splitting.
+	bins := []int{32, 64, 256}
+	arms := []arm{modeArm("exact", cluster.WithSplitMode(cluster.SplitExact))}
+	for _, b := range bins {
+		arms = append(arms, modeArm(fmt.Sprintf("hist-%d", b),
+			cluster.WithSplitMode(cluster.SplitHist), cluster.WithMaxBins(b)))
 	}
-	return out
+	const c = "cluster.Train/wide-deep"
+	r.run("hist", abCase{name: c, ratio: "speedup", arms: arms, metrics: []metric{
+		{"wall_ms", "ms"}, {"link_bytes", "bytes"}, {"accuracy", "fraction"}}})
+	for _, b := range bins {
+		s := j.counters(cluster.WithSplitMode(cluster.SplitHist), cluster.WithMaxBins(b))
+		name := fmt.Sprintf("hist-%d", b)
+		r.count("hist", c, name, "bin_rounds", float64(s.Master.BinRounds))
+		r.count("hist", c, name, "hist_subtractions", float64(s.Split.HistSubtractions))
+	}
 }
 
-func writeHistBench(path string, quick bool) {
-	results := runHistAB(quick)
-	for _, r := range results {
-		fmt.Printf("%-24s max-bins %-4d exact %.0fms hist %.0fms speedup %.2fx  bytes %.2fx less  acc %.4f vs %.4f (delta %.4f)\n",
-			r.Name, r.MaxBins, r.ExactNs/1e6, r.HistNs/1e6, r.Speedup, r.ByteReduction,
-			r.ExactAccuracy, r.HistAccuracy, r.AccuracyDelta)
-	}
-	data, err := json.MarshalIndent(histBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Results:     results,
-	}, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal hist bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// failoverOverheadResult is the hot-standby A/B: the same forest job with no
-// standby (the default) and with a live standby replicating every streamed
-// checkpoint record and acking lease renewals. The primary never fails, so
-// the ratio is the pure steady-state cost the standby adds to the training
-// critical path — the stream send is off-path (a buffered queue drained by
-// its own goroutine), so the ratio should sit within run-to-run noise.
-type failoverOverheadResult struct {
-	Name           string  `json:"name"`
-	BaselineNs     float64 `json:"baseline_ns_per_op"`
-	StandbyNs      float64 `json:"standby_ns_per_op"`
-	Ratio          float64 `json:"ratio"` // standby / baseline; ~1.0 means within noise
-	StreamRecords  int64   `json:"stream_records"`
-	StreamBytes    int64   `json:"stream_bytes"`
-	ReplicaApplied int64   `json:"replica_applied"`
-	LeaseRenewals  int64   `json:"lease_renewals"`
-	LeaseAcks      int64   `json:"lease_acks"`
-}
-
-// failoverBenchOutput is the schema of the -failover-json file.
-type failoverBenchOutput struct {
-	GeneratedAt string                   `json:"generated_at"`
-	GoVersion   string                   `json:"go_version"`
-	Quick       bool                     `json:"quick"`
-	Results     []failoverOverheadResult `json:"results"`
-}
-
-// runFailoverOverhead measures what a hot standby costs a healthy forest
-// job: every checkpoint record encoded and streamed, plus the lease
-// renew/ack exchange, with no disk in either arm.
-func runFailoverOverhead(quick bool) []failoverOverheadResult {
-	trainRows, trees := 12000, 8
-	if quick {
-		trainRows, trees = 4000, 4
-	}
-	tbl := synth.GenerateTrain(synth.Spec{
-		Name: "fobench", Rows: trainRows, NumNumeric: 6, NumCategorical: 2,
-		NumClasses: 2, ConceptDepth: 5, LabelNoise: 0.05, Seed: 53,
-	})
-	params := core.Defaults()
-	params.MaxDepth = 8
-	specs := make([]cluster.TreeSpec, trees)
-	for i := range specs {
-		specs[i] = cluster.TreeSpec{Params: params,
-			Bag: cluster.BagSpec{NumRows: trainRows, Sample: trainRows, Seed: int64(i)}}
-	}
-	trainOnce := func(standby bool, reg *obs.Registry) float64 {
-		opts := []cluster.Option{
-			cluster.WithWorkers(3), cluster.WithCompers(2),
-			cluster.WithPolicy(task.Policy{TauD: trainRows / 10, TauDFS: trainRows / 2, NPool: 16}),
-			cluster.WithObserver(reg),
-		}
-		if standby {
-			opts = append(opts, cluster.WithLease(250*time.Millisecond))
-		}
-		c, err := cluster.NewInProcess(tbl, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer c.Close()
-		start := time.Now()
-		if _, err := c.Train(specs); err != nil {
-			log.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
-	}
-	trainOnce(false, nil) // warm up
-	base := trainOnce(false, nil)
-	reg := obs.NewRegistry()
-	sb := trainOnce(true, reg)
-	m := reg.Snapshot().Master
-	return []failoverOverheadResult{{
-		Name: "cluster.Train/forest", BaselineNs: base, StandbyNs: sb, Ratio: sb / base,
-		StreamRecords: m.StreamRecords, StreamBytes: m.StreamBytes, ReplicaApplied: m.StreamApplied,
-		LeaseRenewals: m.LeaseRenewals, LeaseAcks: m.LeaseAcks,
-	}}
-}
-
-func writeFailoverBench(path string, quick bool) {
-	results := runFailoverOverhead(quick)
-	for _, r := range results {
-		fmt.Printf("%-24s baseline %.0fns  with-standby %.0fns  ratio %.3f  (%d records / %d bytes streamed, %d applied, %d renewals / %d acks)\n",
-			r.Name, r.BaselineNs, r.StandbyNs, r.Ratio, r.StreamRecords, r.StreamBytes, r.ReplicaApplied, r.LeaseRenewals, r.LeaseAcks)
-	}
-	data, err := json.MarshalIndent(failoverBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Results:     results,
-	}, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal failover bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
+// failoverSuite measures what a hot standby costs a healthy forest job:
+// every checkpoint record encoded and streamed, plus the lease renew/ack
+// exchange, with no disk in either arm. The primary never fails, so the
+// ratio is the steady-state cost the standby adds to the training path.
+func failoverSuite(r *runner, quick bool) {
+	j := forestCase(quick, 53)
+	const c = "cluster.Train/forest"
+	standby := cluster.WithLease(250 * time.Millisecond)
+	r.run("failover", abCase{name: c, metrics: wallMetric, ratio: "overhead", arms: []arm{
+		{"off", func() []float64 { return j.wallMs() }},
+		{"standby", func() []float64 { return j.wallMs(standby) }},
+	}})
+	m := j.counters(standby).Master
+	r.count("failover", c, "standby", "stream_records", float64(m.StreamRecords))
+	r.count("failover", c, "standby", "stream_bytes", float64(m.StreamBytes))
+	r.count("failover", c, "standby", "replica_applied", float64(m.StreamApplied))
+	r.count("failover", c, "standby", "lease_renewals", float64(m.LeaseRenewals))
+	r.count("failover", c, "standby", "lease_acks", float64(m.LeaseAcks))
 }
 
 func main() {
 	var (
 		table     = flag.String("table", "", "run a single experiment id (see -list)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
+		list      = flag.Bool("list", false, "list experiment ids and A/B suites and exit")
 		quick     = flag.Bool("quick", false, "shrunken smoke run")
 		rows      = flag.Int("rows", 20000, "rows of the largest synthetic dataset")
 		workers   = flag.Int("workers", 4, "simulated worker machines")
 		compers   = flag.Int("compers", 4, "computing threads per worker")
 		ablations = flag.Bool("ablations", false, "run only the design ablations")
-		jsonPath  = flag.String("json", "", "write machine-readable results (tables + split kernel bench) to this file")
-		obsJSON   = flag.String("obs-json", "", "run the telemetry on/off overhead bench and write it to this file")
-		ckptJSON  = flag.String("ckpt-json", "", "run the checkpointing on/off overhead bench and write it to this file")
-		hedgeJSON = flag.String("hedge-json", "", "run the hedging off/on A/B under one degraded worker and write it to this file")
-		histJSON  = flag.String("hist-json", "", "run the exact-vs-hist split mode A/B and write it to this file")
-		failJSON  = flag.String("failover-json", "", "run the hot-standby on/off overhead bench and write it to this file")
-		serveJSON = flag.String("serve-json", "", "run the legacy-vs-compiled serving A/B and write it to this file")
+		abList    = flag.String("ab", "", "comma-separated A/B suites to run (see -list)")
+		jsonPath  = flag.String("json", "", "write every record of the -ab suites to this file")
 	)
 	flag.Parse()
 
 	if *list {
 		fmt.Println("experiments:", strings.Join(experiments.IDs(), " "))
+		names := make([]string, len(suites))
+		for i, s := range suites {
+			names[i] = s.name
+		}
+		fmt.Println("ab suites:", strings.Join(names, " "))
 		return
+	}
+	if *jsonPath != "" && *abList == "" {
+		fmt.Fprintln(os.Stderr, "-json writes A/B records; name the suites with -ab")
+		os.Exit(2)
 	}
 
-	if *obsJSON != "" {
-		writeObsBench(*obsJSON, *quick)
-	}
-	if *ckptJSON != "" {
-		writeCkptBench(*ckptJSON, *quick)
-	}
-	if *hedgeJSON != "" {
-		writeHedgeBench(*hedgeJSON, *quick)
-	}
-	if *histJSON != "" {
-		writeHistBench(*histJSON, *quick)
-	}
-	if *failJSON != "" {
-		writeFailoverBench(*failJSON, *quick)
-	}
-	if *serveJSON != "" {
-		writeServeBench(*serveJSON, *quick)
-	}
-	if (*obsJSON != "" || *ckptJSON != "" || *hedgeJSON != "" || *histJSON != "" || *failJSON != "" || *serveJSON != "") && *table == "" && !*ablations && *jsonPath == "" {
-		return
+	if *abList != "" {
+		var selected []func(*runner, bool)
+		for _, name := range strings.Split(*abList, ",") {
+			i := 0
+			for i < len(suites) && suites[i].name != name {
+				i++
+			}
+			if i == len(suites) {
+				fmt.Fprintf(os.Stderr, "unknown A/B suite %q; try -list\n", name)
+				os.Exit(2)
+			}
+			selected = append(selected, suites[i].run)
+		}
+		r := &runner{reps: reps(*quick), out: os.Stdout}
+		for _, run := range selected {
+			run(r, *quick)
+		}
+		if *jsonPath != "" {
+			if err := writeBench(*jsonPath, *quick, r.records); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("wrote %s\n", *jsonPath)
+		}
+		if *table == "" && !*ablations {
+			return
+		}
 	}
 
 	scale := experiments.Scale{BaseRows: *rows, Workers: *workers, Compers: *compers, Quick: *quick}
-
-	var results []*experiments.Result
 	start := time.Now()
 	run := func(id string) {
 		f, ok := experiments.ByID(id)
@@ -716,7 +414,6 @@ func main() {
 		r := f(scale)
 		r.Fprint(os.Stdout)
 		fmt.Printf("[%s took %s]\n\n", r.ID, time.Since(t0).Round(time.Millisecond))
-		results = append(results, r)
 	}
 	switch {
 	case *table != "":
@@ -733,29 +430,4 @@ func main() {
 		}
 	}
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Millisecond))
-
-	if *jsonPath != "" {
-		benchRows := 10000
-		if *quick {
-			benchRows = 2000
-		}
-		out := benchOutput{
-			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			Scale:       scale,
-			Experiments: results,
-			SplitBench:  runSplitBench(benchRows),
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "marshal bench json: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
 }

@@ -8,13 +8,10 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"testing"
 	"time"
 
 	"treeserver/internal/cluster"
@@ -27,49 +24,6 @@ import (
 	"treeserver/internal/synth"
 )
 
-// serveBenchResult is one arm × batch-size (or depth) cell of the serving
-// A/B. RowsPerSecPerCore is single-goroutine throughput, so per-core equals
-// absolute; p50/p99 come from sorted per-call wall times over a fixed-length
-// measurement loop, allocs/op from testing.Benchmark.
-type serveBenchResult struct {
-	Arm            string  `json:"arm"` // "legacy" or "compiled"
-	Batch          int     `json:"batch"`
-	MaxDepth       int     `json:"max_depth,omitempty"` // 0 = full trees
-	NsPerOp        float64 `json:"ns_per_op,omitempty"`
-	RowsPerSecCore float64 `json:"rows_per_sec_per_core,omitempty"`
-	P50Ns          int64   `json:"p50_ns,omitempty"`
-	P99Ns          int64   `json:"p99_ns,omitempty"`
-	AllocsPerOp    int64   `json:"allocs_per_op,omitempty"`
-	// Load-generator cells: aggregate throughput over this many concurrent
-	// client goroutines (0 = single-goroutine microbenchmark cell).
-	Goroutines int     `json:"goroutines,omitempty"`
-	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
-}
-
-// serveBenchOutput is the schema of the -serve-json file.
-type serveBenchOutput struct {
-	GeneratedAt string             `json:"generated_at"`
-	GoVersion   string             `json:"go_version"`
-	Quick       bool               `json:"quick"`
-	Trees       int                `json:"trees"`
-	MaxTreeDep  int                `json:"max_tree_depth"`
-	Batches     []serveBenchResult `json:"batches"`
-	DepthSweep  []serveBenchResult `json:"depth_sweep"`
-	// LoadSweep is the multi-goroutine load-generator grid: aggregate
-	// rows/sec for each arm at 1, 4 and NumCPU concurrent clients.
-	LoadSweep []serveBenchResult `json:"load_sweep"`
-	// Resilience A/Bs the full HTTP handler with the resilience machinery
-	// off ("plain") and on ("hardened": inflight limiter + request deadline
-	// + a live canary split) at batch 64.
-	Resilience []serveBenchResult `json:"resilience"`
-	// ResilienceOverhead is hardened over plain ns/op at batch 64 — the
-	// price of the limiter+deadline+canary path (should sit within noise).
-	ResilienceOverhead float64 `json:"resilience_overhead"`
-	// SpeedupAtBatch64 is compiled over legacy rows/sec at batch 64 — the
-	// acceptance headline.
-	SpeedupAtBatch64 float64 `json:"speedup_at_batch_64"`
-}
-
 // discardRW is the cheapest possible ResponseWriter: headers land in a reused
 // map, bodies in the void. It keeps the handler A/B free of recorder allocs.
 type discardRW struct {
@@ -81,67 +35,69 @@ func (d *discardRW) Header() http.Header         { return d.h }
 func (d *discardRW) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardRW) WriteHeader(code int)        { d.code = code }
 
-// serveBenchArm measures one request-shaped workload end to end: parse the
-// JSON body, score every row, encode the response. It reports mean ns/op,
-// percentiles over `calls` timed invocations, and allocs/op.
-func serveBenchArm(body []byte, work func([]byte)) (float64, int64, int64, int64) {
-	work(body) // warm up pools and scratch
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			work(body)
-		}
-	})
-	nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
-	calls := 400
-	lat := make([]int64, calls)
-	for i := range lat {
-		t0 := time.Now()
-		work(body)
-		lat[i] = time.Since(t0).Nanoseconds()
+// serveCalls is how many requests one repetition of a serving arm scores:
+// 400, or fewer at large batches so a repetition scores at most 32k rows.
+func serveCalls(batch int) int {
+	if n := 1 << 15 / batch; n < 400 {
+		return n
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return nsPerOp, lat[calls/2], lat[calls*99/100], r.AllocsPerOp()
+	return 400
 }
 
-// loadThroughput drives the workload from n concurrent client goroutines for
-// a fixed wall-clock window and returns aggregate rows/sec. makeWork is
-// called once per goroutine so closures carrying per-client scratch (the
-// compiled arm's encode buffer) are never shared.
-func loadThroughput(makeWork func() func([]byte), body []byte, batch, n int, window time.Duration) float64 {
-	var ops atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		work := makeWork()
-		work(body) // warm per-client scratch outside the timed window
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+var serveMetrics = []metric{{"ns_per_op", "ns"}, {"rows_per_s_per_core", "rows/s"},
+	{"p50_ns", "ns"}, {"p99_ns", "ns"}, {"allocs_per_op", "count"}}
+
+// serveArm times serveCalls(batch) single-goroutine requests of work on
+// body per repetition. Single-goroutine throughput is per-core throughput.
+func serveArm(name string, body []byte, batch int, work func([]byte)) arm {
+	return arm{name, func() []float64 {
+		ns, allocs := callLoop(serveCalls(batch), func() { work(body) })
+		avg := mean(ns)
+		sorted := append([]float64(nil), ns...)
+		sort.Float64s(sorted)
+		return []float64{avg, float64(batch) / avg * 1e9,
+			quantile(sorted, 0.5), quantile(sorted, 0.99), allocs}
+	}}
+}
+
+// loadArm drives the workload from clients concurrent goroutines, each
+// scoring the same fixed number of requests, and reports the wall time and
+// aggregate rows/s of one repetition. makeWork is called once per goroutine
+// so closures carrying per-client scratch (the compiled arm's encode
+// buffer) are never shared.
+func loadArm(name string, body []byte, batch, clients int, makeWork func() func([]byte)) arm {
+	perClient := 256 / clients
+	return arm{name, func() []float64 {
+		var done sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < clients; i++ {
+			work := makeWork()
+			work(body) // warm per-client scratch outside the timed window
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				<-start
+				for k := 0; k < perClient; k++ {
 					work(body)
-					ops.Add(1)
 				}
-			}
-		}()
-	}
-	t0 := time.Now()
-	time.Sleep(window)
-	close(stop)
-	wg.Wait()
-	return float64(ops.Load()) * float64(batch) / time.Since(t0).Seconds()
+			}()
+		}
+		t0 := time.Now()
+		close(start)
+		done.Wait()
+		wall := time.Since(t0)
+		return []float64{float64(wall) / 1e6,
+			float64(perClient*clients*batch) / wall.Seconds()}
+	}}
 }
 
-// runServeBench trains a forest once, then A/Bs the legacy interpreter path
+// serveSuite trains a forest once, then A/Bs the legacy interpreter path
 // (encoding/json → Schema.ParseRows → File.Predict → encoding/json) against
 // the compiled path (infer.DecodeRequest → Model.Predict → pooled append
-// encode) on identical request bodies at several batch sizes, plus a
-// MaxDepth truncation sweep on the compiled arm.
-func runServeBench(quick bool) serveBenchOutput {
+// encode) on identical request bodies at several batch sizes and client
+// counts, the plain handler against the hardened one, and full-depth
+// compiled scoring against MaxDepth truncation.
+func serveSuite(r *runner, quick bool) {
 	trainRows, trees := 20000, 16
 	if quick {
 		trainRows, trees = 5000, 8
@@ -167,6 +123,8 @@ func runServeBench(quick bool) serveBenchOutput {
 	if err != nil {
 		log.Fatal(err)
 	}
+	r.count("serve", "model", "compiled", "trees", float64(trees))
+	r.count("serve", "model", "compiled", "max_tree_depth", float64(cm.MaxTreeDepth()))
 
 	// Request bodies mirror what a /predict caller sends: string-valued
 	// cells, every feature present, drawn from the training distribution.
@@ -260,72 +218,35 @@ func runServeBench(quick bool) serveBenchOutput {
 	}
 	compiledWork := newCompiledWork(0)
 
-	output := serveBenchOutput{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Quick:       quick,
-		Trees:       trees,
-		MaxTreeDep:  cm.MaxTreeDepth(),
-	}
 	for _, batch := range []int{1, 64, 1024} {
 		body := makeBody(batch)
-		for _, arm := range []struct {
-			name string
-			work func([]byte)
-		}{{"legacy", legacyWork}, {"compiled", compiledWork}} {
-			ns, p50, p99, allocs := serveBenchArm(body, arm.work)
-			res := serveBenchResult{
-				Arm: arm.name, Batch: batch, NsPerOp: ns,
-				RowsPerSecCore: float64(batch) / (ns / 1e9),
-				P50Ns:          p50, P99Ns: p99, AllocsPerOp: allocs,
-			}
-			output.Batches = append(output.Batches, res)
-			fmt.Printf("serve %-8s batch %-5d %12.0f ns/op  %12.0f rows/s/core  p50 %8dns p99 %8dns  %5d allocs/op\n",
-				arm.name, batch, ns, res.RowsPerSecCore, p50, p99, allocs)
-		}
+		r.run("serve", abCase{name: fmt.Sprintf("batch-%d", batch), metrics: serveMetrics, ratio: "speedup",
+			arms: []arm{serveArm("legacy", body, batch, legacyWork), serveArm("compiled", body, batch, compiledWork)}})
 	}
-	for i := 0; i+1 < len(output.Batches); i += 2 {
-		if output.Batches[i].Batch == 64 {
-			output.SpeedupAtBatch64 = output.Batches[i+1].RowsPerSecCore / output.Batches[i].RowsPerSecCore
-		}
-	}
-	fmt.Printf("serve speedup at batch 64: %.2fx\n", output.SpeedupAtBatch64)
 
-	// Multi-goroutine load generator: aggregate throughput at 1, 4 and
-	// NumCPU concurrent clients on the batch-64 body — how the serving path
-	// scales when connections pile on, not just how fast one core runs.
-	window := 300 * time.Millisecond
-	if quick {
-		window = 150 * time.Millisecond
-	}
+	// Load sweep: aggregate throughput at 1, 4 and NumCPU concurrent
+	// clients on the batch-64 body — how the serving path scales when
+	// connections pile on, not just how fast one core runs.
 	loadBody := makeBody(64)
 	seen := map[int]bool{}
 	for _, g := range []int{1, 4, runtime.NumCPU()} {
-		if g < 1 || seen[g] {
+		if seen[g] {
 			continue
 		}
 		seen[g] = true
-		for _, arm := range []struct {
-			name string
-			mk   func() func([]byte)
-		}{
-			// legacyWork keeps no per-call state, so every client can share it.
-			{"legacy", func() func([]byte) { return legacyWork }},
-			{"compiled", func() func([]byte) { return newCompiledWork(0) }},
-		} {
-			rps := loadThroughput(arm.mk, loadBody, 64, g, window)
-			output.LoadSweep = append(output.LoadSweep, serveBenchResult{
-				Arm: arm.name, Batch: 64, Goroutines: g, RowsPerSec: rps,
-			})
-			fmt.Printf("serve %-8s load %2d goroutine(s)  %12.0f rows/s aggregate\n", arm.name, g, rps)
-		}
+		r.run("serve", abCase{name: fmt.Sprintf("load-%dclients", g), ratio: "speedup",
+			metrics: []metric{{"wall_ms", "ms"}, {"rows_per_s", "rows/s"}}, arms: []arm{
+				// legacyWork keeps no per-call state, so every client can share it.
+				loadArm("legacy", loadBody, 64, g, func() func([]byte) { return legacyWork }),
+				loadArm("compiled", loadBody, 64, g, func() func([]byte) { return newCompiledWork(0) }),
+			}})
 	}
 
 	// Resilience A/B: the identical batch-64 body through the full HTTP
 	// handler — once with every resilience knob off, once with the limiter,
 	// request deadline and a live canary split all armed (window parked far
 	// above the benchmark's request count so no promote/rollback fires
-	// mid-measurement). The delta is what overload control costs a healthy
+	// mid-measurement). The ratio is what overload control costs a healthy
 	// request.
 	newServerWork := func(s *serve.Server) func([]byte) {
 		w := &discardRW{h: make(http.Header)}
@@ -368,54 +289,18 @@ func runServeBench(quick bool) serveBenchOutput {
 		serve.WithMaxInflight(64), serve.WithQueue(16, 50*time.Millisecond),
 		serve.WithRequestTimeout(5*time.Second))
 	resBody := makeBody(64)
-	var plainNs float64
-	for _, arm := range []struct {
-		name string
-		srv  *serve.Server
-	}{{"plain", plainSrv}, {"hardened", hardSrv}} {
-		ns, p50, p99, allocs := serveBenchArm(resBody, newServerWork(arm.srv))
-		res := serveBenchResult{
-			Arm: arm.name, Batch: 64, NsPerOp: ns,
-			RowsPerSecCore: 64 / (ns / 1e9),
-			P50Ns:          p50, P99Ns: p99, AllocsPerOp: allocs,
-		}
-		output.Resilience = append(output.Resilience, res)
-		if arm.name == "plain" {
-			plainNs = ns
-		} else if plainNs > 0 {
-			output.ResilienceOverhead = ns / plainNs
-		}
-		fmt.Printf("serve %-8s batch %-5d %12.0f ns/op  %12.0f rows/s/core  p50 %8dns p99 %8dns  %5d allocs/op\n",
-			arm.name, 64, ns, res.RowsPerSecCore, p50, p99, allocs)
-	}
-	fmt.Printf("serve resilience overhead at batch 64: %.3fx\n", output.ResilienceOverhead)
+	r.run("serve", abCase{name: "resilience", metrics: serveMetrics, ratio: "overhead", arms: []arm{
+		serveArm("plain", resBody, 64, newServerWork(plainSrv)),
+		serveArm("hardened", resBody, 64, newServerWork(hardSrv)),
+	}})
 
-	// MaxDepth sweep: the Appendix-D truncation knob on the compiled arm.
-	// Depths step from 2 up to the deepest trained tree.
-	body := makeBody(256)
-	for depth := 2; depth <= cm.MaxTreeDepth(); depth += 2 {
-		ns, p50, p99, allocs := serveBenchArm(body, newCompiledWork(depth))
-		res := serveBenchResult{
-			Arm: "compiled", Batch: 256, MaxDepth: depth, NsPerOp: ns,
-			RowsPerSecCore: 256 / (ns / 1e9),
-			P50Ns:          p50, P99Ns: p99, AllocsPerOp: allocs,
-		}
-		output.DepthSweep = append(output.DepthSweep, res)
-		fmt.Printf("serve compiled depth %-3d   %12.0f ns/op  %12.0f rows/s/core  p50 %8dns p99 %8dns\n",
-			depth, ns, res.RowsPerSecCore, p50, p99)
+	// MaxDepth sweep: the Appendix-D truncation knob on the compiled arm,
+	// full-depth scoring against depths from 2 up to below the deepest
+	// trained tree.
+	depthBody := makeBody(256)
+	depthArms := []arm{serveArm("full", depthBody, 256, compiledWork)}
+	for depth := 2; depth < cm.MaxTreeDepth(); depth += 2 {
+		depthArms = append(depthArms, serveArm(fmt.Sprintf("depth-%d", depth), depthBody, 256, newCompiledWork(depth)))
 	}
-	return output
-}
-
-func writeServeBench(path string, quick bool) {
-	out := runServeBench(quick)
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		log.Fatalf("marshal serve bench json: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
+	r.run("serve", abCase{name: "depth", metrics: serveMetrics, ratio: "speedup", arms: depthArms})
 }

@@ -42,12 +42,19 @@ func TestPassthroughModeMatchesSerial(t *testing.T) {
 }
 
 // TestBandwidthModelSlowsTraining enables the per-endpoint link model and
-// checks the job still completes correctly, slower than unthrottled.
+// checks the job still trains the unthrottled tree, in no less time than
+// the model guarantees. Each endpoint's sends are paced one after another
+// at bps, so a paced run cannot finish before its busiest endpoint has
+// pushed every byte it sent through its link. The clock starts before the
+// cluster exists, so no send can predate it. The bound comes from the
+// paced run's own byte counts, not from an unthrottled run's wall clock,
+// which load on the host can stretch past it.
 func TestBandwidthModelSlowsTraining(t *testing.T) {
 	tbl := synth.GenerateTrain(synth.Spec{
 		Name: "bw", Rows: 2500, NumNumeric: 6, NumClasses: 2, ConceptDepth: 4, Seed: 98,
 	})
-	run := func(bps float64) (time.Duration, *core.Tree) {
+	run := func(bps float64) (time.Duration, int64, *core.Tree) {
+		start := time.Now()
 		c := newTestCluster(t, tbl, Config{
 			MasterConfig: MasterConfig{
 				NumWorkers: 3,
@@ -57,20 +64,30 @@ func TestBandwidthModelSlowsTraining(t *testing.T) {
 			BandwidthBps: bps,
 		})
 		defer c.Close()
-		start := time.Now()
 		tr, err := c.TrainOne(core.Defaults())
 		if err != nil {
 			t.Fatalf("train(bw=%g): %v", bps, err)
 		}
-		return time.Since(start), tr
+		// Read the counters before stopping the clock: a send is counted
+		// only once its pacing is over, so every counted byte fits in wall.
+		busiest := c.Master.TransportStats().BytesSent
+		for _, w := range c.Workers {
+			busiest = max(busiest, w.TransportStats().BytesSent)
+		}
+		return time.Since(start), busiest, tr
 	}
-	fastTime, fastTree := run(0)
-	slowTime, slowTree := run(2e6) // 2 MB/s links
+	fastTime, _, fastTree := run(0)
+	// About 36 KB leave the busiest endpoint, so 100 KB/s links pace the run
+	// for about 0.36 s, several times what the unpaced run takes.
+	const bps = 100e3
+	slowTime, busiest, slowTree := run(bps)
 	if !fastTree.Equal(slowTree) {
 		t.Fatal("bandwidth model changed the tree")
 	}
-	if slowTime <= fastTime {
-		t.Fatalf("bandwidth model did not slow training: %v vs %v", slowTime, fastTime)
+	bound := time.Duration(float64(busiest) / bps * float64(time.Second))
+	if slowTime < bound {
+		t.Fatalf("paced run took %v (unpaced %v); %d bytes at %g B/s need at least %v",
+			slowTime, fastTime, busiest, bps, bound)
 	}
 }
 
